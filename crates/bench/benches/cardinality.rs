@@ -6,7 +6,7 @@
 //!   round's batch dropped, then `wal_flush`).  The volatile side never
 //!   garbage-collects its symbol table — it is the leak baseline — while
 //!   the durable side runs the whole lifecycle: WAL symbol deltas, cooling,
-//!   the rotation-time sweep, slot reuse.  The delta is the total price of
+//!   the per-flush sweep, slot reuse, checkpoints.  The delta is the total price of
 //!   *not* leaking.
 //! * `budget_scrape_round_1k/{off,on}` — one warm steady-state scrape round
 //!   with admission budgets detached vs attached (sized to admit
@@ -82,8 +82,9 @@ impl Drop for ScratchDir {
 /// One churn round: `batch` brand-new unique-labelled series appear (cold
 /// path — intern, index, WAL series records), the previous round's batch is
 /// dropped (symbol release, cooling), and the round commits.  On the
-/// durable side small segments keep the meta log rotating, so the sweep and
-/// slot reuse run inside the measured loop.
+/// durable side every flush sweeps and small segments keep checkpoints
+/// coming, so the sweep, slot reuse and checkpoints run inside the
+/// measured loop.
 fn churn_round(db: &TimeSeriesDb, round: u64, batch: usize) {
     let now = round * 5_000;
     let tag = format!("r{round}");
@@ -110,8 +111,8 @@ fn bench_churn(c: &mut Criterion) {
         let scratch = ScratchDir::new(&format!("churn-{mode_tag}"));
         let db = if durable {
             let options = DurabilityOptions {
-                // Small segments: the meta log rotates (sweeping cooled
-                // symbols) every few rounds, inside the measurement.
+                // Small segments: checkpoints run every few rounds,
+                // inside the measurement.
                 segment_bytes: 32 << 10,
                 fsync: FsyncMode::OnRotation,
                 ..DurabilityOptions::default()

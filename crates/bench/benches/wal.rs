@@ -4,23 +4,25 @@
 //! * `round_{1k,10k}/{volatile,durable}` — one steady batch-append round
 //!   (every series one sample, then `wal_flush`) against an in-memory
 //!   database vs a durable one on tmpfs in the default fsync mode
-//!   (sync-on-rotation).  The delta is the durability tax: staging into the
-//!   shard buffers, one batched sample record + sequential write per dirty
-//!   shard, one commit record.
+//!   (sync-on-checkpoint).  The delta is the durability tax: staging into
+//!   the shard buffers (one batched sample record per dirty shard), then one
+//!   frame holding every shard's section, written in one sequential write.
 //! * `round_{1k,10k}/durable_fsync` — the same round under
 //!   `FsyncMode::EveryCommit` (power-loss-safe acks); the delta vs
-//!   `durable` is pure fsync cost, one per dirty log per round.
-//! * `round_1k/durable_rotating` — the same round with a tiny segment
-//!   budget, so shard logs keep rotating onto Gorilla snapshots; the delta
-//!   vs `durable` is the rotation cost.
+//!   `durable` is pure fsync cost, one per round.
+//! * `round_1k/durable_rotating` — the same round with a 64 KiB segment
+//!   budget, so the database keeps checkpointing onto Gorilla snapshots on
+//!   the amortized cadence (whenever the log outgrows the larger of the
+//!   segment and the last checkpoint); the delta vs `durable` is the
+//!   checkpoint cost.
 //! * `scrape_round_{1k,10k}/{volatile,durable}` — the deployment-realistic
 //!   comparison: one full steady scrape round (collect, ingest,
 //!   meta-metrics, WAL flush) through the fast lane, mirroring
 //!   `micro/ingest` — the round the "≤15% durable overhead" acceptance
 //!   bound is measured on, since that is the unit of work a real
 //!   deployment repeats.
-//! * `replay_{1k,10k}` — `TimeSeriesDb::open` over the logs the round
-//!   benches leave behind: crash-recovery throughput.
+//! * `replay_{1k,10k}` — `TimeSeriesDb::open` over a round log of 50
+//!   flushed rounds: crash-recovery throughput.
 //!
 //! Set `TEEMON_BENCH_SMOKE=1` (as CI does) to shrink the series counts and
 //! sample counts for a fast correctness pass.
@@ -112,7 +114,7 @@ fn round(
     assert!(db.wal_flush());
 }
 
-/// Durable vs volatile steady round, plus the rotating variant.
+/// Durable vs volatile steady round, plus the checkpointing variant.
 fn bench_rounds(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/wal");
     group.sample_size(sample_count());
@@ -126,7 +128,7 @@ fn bench_rounds(c: &mut Criterion) {
         ];
         for (mode_tag, durability) in cases {
             if mode_tag == "durable_rotating" && count >= 10_000 {
-                continue; // the rotation delta is measured once, at 1k
+                continue; // the checkpoint delta is measured once, at 1k
             }
             let scratch = ScratchDir::new(&format!("round-{tag}-{mode_tag}"));
             let db = match durability {
@@ -141,7 +143,7 @@ fn bench_rounds(c: &mut Criterion) {
             let handles = handles(&db, count);
             let mut batch = Vec::with_capacity(count);
             let clock = AtomicU64::new(0);
-            // Warm up: grow the staging buffers, open the log files.
+            // Warm up: grow the staging and frame buffers, open the log.
             for _ in 0..3 {
                 round(&db, &handles, &mut batch, clock.fetch_add(5_000, Ordering::Relaxed) + 5_000);
             }

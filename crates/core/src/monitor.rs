@@ -118,10 +118,10 @@ impl MonitorBuilder {
     }
 
     /// Makes the host's aggregation database durable: `build` opens it with
-    /// [`TimeSeriesDb::open`] on `dir`, replaying any write-ahead logs a
-    /// previous run left behind (crash recovery) before the first scrape,
-    /// and every scrape round from then on ends with one WAL commit per
-    /// dirty shard.  A database plugged in via [`MonitorBuilder::db`] takes
+    /// [`TimeSeriesDb::open`] on `dir`, recovering the checkpoint and
+    /// write-ahead log a previous run left behind (crash recovery) before
+    /// the first scrape, and every scrape round from then on ends with one
+    /// WAL commit: one frame, one write.  A database plugged in via [`MonitorBuilder::db`] takes
     /// precedence — a shared store manages its own durability.
     ///
     /// # Panics

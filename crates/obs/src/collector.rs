@@ -205,7 +205,7 @@ impl Collector for ObsCollector {
             ),
             counter(
                 "teemon_tsdb_symbols_swept_total",
-                "symbols garbage-collected at meta-log rotation points",
+                "symbols garbage-collected by WAL flushes",
                 probes::SYMBOLS_SWEPT.get(),
             ),
             counter(
@@ -241,7 +241,7 @@ impl Collector for ObsCollector {
             ),
             counter(
                 "teemon_wal_records_dropped_total",
-                "WAL records discarded during recovery (uncommitted tail rounds)",
+                "WAL records discarded during recovery (of shards that failed to decode)",
                 probes::WAL_RECORDS_DROPPED.get(),
             ),
             gauge(
@@ -251,7 +251,7 @@ impl Collector for ObsCollector {
             ),
             gauge(
                 "teemon_wal_failed_shards",
-                "shards whose WAL or snapshot was unreadable and came up empty",
+                "shards that no longer persist: failed recovery, or all once the log failed",
                 probes::WAL_FAILED_SHARDS.get(),
             ),
             counter(

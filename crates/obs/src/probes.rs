@@ -219,7 +219,7 @@ pub static STORAGE_SYMBOLS: Gauge = Gauge::new();
 pub static STORAGE_SYMBOL_BYTES: Gauge = Gauge::new();
 /// Estimated bytes held by the per-shard postings indexes.
 pub static STORAGE_INDEX_BYTES: Gauge = Gauge::new();
-/// Symbols garbage-collected at meta-log rotation points, cumulative.
+/// Symbols garbage-collected by WAL flushes, cumulative.
 pub static SYMBOLS_SWEPT: Counter = Counter::new();
 /// Series rejected by per-target/per-job cardinality budgets at the scrape
 /// edge, cumulative.
@@ -229,21 +229,21 @@ pub static SCRAPE_BUDGET_REJECTED: Counter = Counter::new();
 // Durability / WAL (recorded by `teemon_tsdb::wal` and crash recovery)
 // ---------------------------------------------------------------------------
 
-/// Bytes appended to write-ahead logs (meta log + shard segments).
+/// Bytes appended to the write-ahead round log.
 pub static WAL_BYTES_WRITTEN: Counter = Counter::new();
 /// Measured wall time of WAL fsyncs.
 pub static WAL_FSYNC_NS: LogLinearHist = LogLinearHist::new();
 /// WAL records applied during crash recovery.
 pub static WAL_RECORDS_REPLAYED: Counter = Counter::new();
-/// Corrupt-tail truncation events during recovery (one per salvaged file).
+/// Salvage events during recovery (one per truncated log tail or damaged section).
 pub static WAL_SALVAGE: Counter = Counter::new();
 /// Bytes discarded by corrupt-tail truncation during recovery.
 pub static WAL_SALVAGED_BYTES: Counter = Counter::new();
-/// WAL records discarded during recovery (uncommitted tail rounds).
+/// WAL records discarded during recovery (of shards that failed to decode).
 pub static WAL_RECORDS_DROPPED: Counter = Counter::new();
 /// Duration of the last crash recovery, in seconds.
 pub static WAL_RECOVERY_SECONDS: Gauge = Gauge::new();
-/// Shards whose WAL or snapshot was unreadable and came up empty.
+/// Shards that no longer persist: failed recovery, or all once the log failed.
 pub static WAL_FAILED_SHARDS: Gauge = Gauge::new();
 /// Scrape rounds whose WAL flush reported a write/fsync failure — the round
 /// was served from memory but its durability was lost.
@@ -431,7 +431,7 @@ pub const fn registry() -> &'static [ProbeDesc] {
             name: "teemon_tsdb_symbols_swept_total",
             kind: "counter",
             layer: "storage",
-            help: "symbols garbage-collected at meta-log rotation points",
+            help: "symbols garbage-collected by WAL flushes",
         },
         ProbeDesc {
             name: "teemon_scrape_budget_rejected_total",
@@ -443,7 +443,7 @@ pub const fn registry() -> &'static [ProbeDesc] {
             name: "teemon_wal_bytes_written_total",
             kind: "counter",
             layer: "storage",
-            help: "bytes appended to write-ahead logs (meta log + shard segments)",
+            help: "bytes appended to the write-ahead round log",
         },
         ProbeDesc {
             name: "teemon_wal_fsync_seconds",
@@ -461,7 +461,7 @@ pub const fn registry() -> &'static [ProbeDesc] {
             name: "teemon_wal_salvage_total",
             kind: "counter",
             layer: "storage",
-            help: "corrupt-tail truncation events during recovery (per salvaged file)",
+            help: "salvage events during recovery (per truncated log tail or damaged section)",
         },
         ProbeDesc {
             name: "teemon_wal_salvaged_bytes_total",
@@ -473,7 +473,7 @@ pub const fn registry() -> &'static [ProbeDesc] {
             name: "teemon_wal_records_dropped_total",
             kind: "counter",
             layer: "storage",
-            help: "WAL records discarded during recovery (uncommitted tail rounds)",
+            help: "WAL records discarded during recovery (of shards that failed to decode)",
         },
         ProbeDesc {
             name: "teemon_wal_recovery_seconds",
@@ -485,7 +485,7 @@ pub const fn registry() -> &'static [ProbeDesc] {
             name: "teemon_wal_failed_shards",
             kind: "gauge",
             layer: "storage",
-            help: "shards whose WAL or snapshot was unreadable and came up empty",
+            help: "shards that no longer persist: failed recovery, or all once the log failed",
         },
         ProbeDesc {
             name: "teemon_wal_unclean_rounds_total",

@@ -276,7 +276,7 @@ fn emit_all(e: &mut dyn Emit) {
     e.point(&mut Labels::new, probes::STORAGE_INDEX_BYTES.get());
     e.family(
         "teemon_tsdb_symbols_swept_total",
-        "symbols garbage-collected at meta-log rotation points",
+        "symbols garbage-collected by WAL flushes",
         MetricKind::Counter,
     );
     e.point(&mut Labels::new, probes::SYMBOLS_SWEPT.get() as f64);
@@ -322,7 +322,7 @@ fn emit_all(e: &mut dyn Emit) {
     e.point(&mut Labels::new, probes::WAL_SALVAGED_BYTES.get() as f64);
     e.family(
         "teemon_wal_records_dropped_total",
-        "WAL records discarded during recovery (uncommitted tail rounds)",
+        "WAL records discarded during recovery (of shards that failed to decode)",
         MetricKind::Counter,
     );
     e.point(&mut Labels::new, probes::WAL_RECORDS_DROPPED.get() as f64);
@@ -334,7 +334,7 @@ fn emit_all(e: &mut dyn Emit) {
     e.point(&mut Labels::new, probes::WAL_RECOVERY_SECONDS.get());
     e.family(
         "teemon_wal_failed_shards",
-        "shards whose WAL or snapshot was unreadable and came up empty",
+        "shards that no longer persist: failed recovery, or all once the log failed",
         MetricKind::Gauge,
     );
     e.point(&mut Labels::new, probes::WAL_FAILED_SHARDS.get());

@@ -397,7 +397,8 @@ impl Response {
     }
 
     /// Serialises status line, headers and body and writes them to the
-    /// connection.  `close` controls the `Connection` header.
+    /// connection in one write, so the body never trails the head as a
+    /// separate small segment.  `close` controls the `Connection` header.
     ///
     /// # Errors
     ///
@@ -413,8 +414,9 @@ impl Response {
         head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
         head.push_str(if close { "Connection: close\r\n" } else { "Connection: keep-alive\r\n" });
         head.push_str("\r\n");
-        conn.write_all_bytes(head.as_bytes())?;
-        conn.write_all_bytes(&self.body)
+        let mut out = head.into_bytes();
+        out.extend_from_slice(&self.body);
+        conn.write_all_bytes(&out)
     }
 }
 

@@ -339,6 +339,10 @@ fn accept_loop(listener: &TcpListener, core: &Arc<ServerCore>) {
         if core.is_shutting_down() {
             return;
         }
+        // A response is written as head then body; with Nagle's algorithm
+        // on, the body would wait for the ACK of the head, which a
+        // keep-alive client delays by ~40 ms.
+        let _ = stream.set_nodelay(true);
         match core.gate.try_acquire() {
             None => shed(stream),
             Some(permit) => {

@@ -128,3 +128,50 @@ fn panic_shield_holds_over_tcp() {
     assert_eq!(resp.status, 200);
     assert!(server.shutdown());
 }
+
+/// Reads one `Content-Length`-framed response off a keep-alive stream and
+/// returns its status line.
+fn read_response(stream: &mut TcpStream) -> String {
+    use std::io::Read;
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8_lossy(&head).into_owned();
+    let length = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .expect("Content-Length header");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("response body");
+    head.lines().next().unwrap_or_default().to_string()
+}
+
+/// Each response goes out as two writes (head, then body).  With Nagle's
+/// algorithm on, the body waits for the ACK of the head, and a client
+/// that delays its ACKs (the Linux default without `TCP_QUICKACK`) stalls
+/// about 40 ms per response — ten sequential keep-alive requests over a
+/// plain socket then take about 400 ms.  They must finish in under half
+/// that.
+#[test]
+fn keep_alive_responses_do_not_wait_for_delayed_acks() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default(), TimeSeriesDb::new())
+        .expect("bind loopback");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    let start = std::time::Instant::now();
+    for _ in 0..10 {
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").expect("request");
+        assert_eq!(read_response(&mut stream), "HTTP/1.1 200 OK");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "10 keep-alive requests took {elapsed:?}: responses are stalling on delayed ACKs"
+    );
+    drop(stream);
+    assert!(server.shutdown());
+}

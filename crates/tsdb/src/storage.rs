@@ -98,10 +98,11 @@ pub struct StorageStats {
     /// incrementally per shard (appends, seals, retention), so reading it
     /// never scans storage.
     pub resident_bytes: u64,
-    /// Shards whose write-ahead log has failed (write/fsync errors, or
-    /// unrecoverable corruption found at startup).  Always `0` for a
-    /// volatile database; `16` when the shared meta log itself is broken.
-    /// Failed shards keep serving from memory but no longer persist.
+    /// Shards that no longer persist: a shard whose checkpoint or logged
+    /// records failed to decode at startup counts alone, while a write or
+    /// fsync error on the round log, or an unreadable checkpoint header,
+    /// counts all `16`.  Always `0` for a volatile database.  Failed shards
+    /// keep serving from memory.
     #[serde(default)]
     pub wal_failed_shards: u64,
     /// Number of live interned symbols (names, label keys, label values).
@@ -707,22 +708,24 @@ impl TimeSeriesDb {
     }
 
     /// Opens a durable database rooted at `dir` with default
-    /// [`DurabilityOptions`], replaying any write-ahead logs found there.
+    /// [`DurabilityOptions`], recovering the checkpoint and write-ahead log
+    /// found there.
     /// See [`TimeSeriesDb::open_with`].
     pub fn open(dir: &Path, config: TsdbConfig) -> io::Result<Self> {
         Self::open_with(dir, config, DurabilityOptions::default())
     }
 
     /// Opens a durable database rooted at `dir`: creates the directory if
-    /// missing, recovers symbols, series and samples from the per-shard
-    /// write-ahead logs (salvaging corrupt tails, isolating unreadable
+    /// missing, recovers symbols, series and samples from the checkpoint and
+    /// the round log (salvaging a corrupt tail, isolating undecodable
     /// shards — see the [`crate::wal`] module docs), and arms the WAL so
     /// every subsequent mutation is staged for the next
     /// [`TimeSeriesDb::wal_flush`].
     ///
-    /// Only I/O errors creating the directory surface as `Err`; *corruption*
-    /// never does.  A damaged shard log comes up empty and is counted in
-    /// [`StorageStats::wal_failed_shards`], leaving the other shards intact.
+    /// Only I/O errors creating or reading the directory surface as `Err`;
+    /// *corruption* never does.  A shard whose state does not decode comes
+    /// up empty and is counted in [`StorageStats::wal_failed_shards`],
+    /// leaving the other shards intact.
     pub fn open_with(
         dir: &Path,
         config: TsdbConfig,
@@ -745,68 +748,58 @@ impl TimeSeriesDb {
         self.shared.wal.is_some()
     }
 
-    /// Flushes the staged WAL round: symbol delta, one sequential write +
-    /// fsync per dirty shard, then the commit marker.  Volatile databases
-    /// return `true` immediately.  Returns `false` once any log has hit a
-    /// write or fsync error (sticky; the failed shards are also surfaced in
-    /// [`StorageStats::wal_failed_shards`]).
+    /// Commits the staged WAL round: every dirty shard's records and the
+    /// symbol delta go to the round log in one write (plus one fsync under
+    /// [`crate::FsyncMode::EveryCommit`]).  Volatile databases return `true`
+    /// immediately.  Returns `false` once the log has hit a write or fsync
+    /// error (sticky) or a shard failed recovery; both are surfaced in
+    /// [`StorageStats::wal_failed_shards`].
     ///
     /// Called once per scrape round by the scrape driver; crash-exactness is
-    /// defined for that single-flusher discipline.  After a commit, shards
-    /// whose log outgrew the segment budget are rotated: sealed state is
-    /// snapshotted (Gorilla blocks re-used verbatim) and the log truncated.
+    /// defined for that single-flusher discipline.  After the commit, once
+    /// the log has outgrown its segment budget, the database is
+    /// checkpointed: every shard's state is snapshotted (Gorilla blocks
+    /// re-used verbatim) and the log truncated.
     pub fn wal_flush(&self) -> bool {
         let Some(wal) = &self.shared.wal else {
             return true;
         };
-        let stats = wal.flush(&self.shared.symbols);
-        if let Some(committed) = stats.committed {
-            self.rotate_wal(wal, committed);
-            let swept = wal.maybe_rotate_meta(&self.shared.symbols, committed);
-            if swept > 0 {
-                probes::SYMBOLS_SWEPT.add(swept as u64);
-            }
-        }
+        let clean = wal.flush(&self.shared.symbols);
+        wal.maybe_checkpoint(&self.shared.symbols, |index, out| {
+            self.encode_checkpoint_shard(wal, index, out)
+        });
         probes::WAL_FAILED_SHARDS.set(wal.failed_shard_count() as f64);
-        stats.clean
+        clean
     }
 
-    /// Rotates any shard log past its segment budget: snapshot the shard's
-    /// state as of round `committed`, install it atomically, truncate the
-    /// log.  Rotation errors are swallowed — the oversized log keeps working
-    /// and rotation is retried after the next commit.
-    fn rotate_wal(&self, wal: &Wal, committed: u64) {
-        for index in 0..SHARD_COUNT {
-            // Lock order: `tsdb.shard` (read) strictly before
-            // `tsdb.wal.shard` — the same order as the append paths.  Taking
-            // the shard lock *first* also closes the race where an append
-            // stages new records between the rotation check and the
-            // snapshot: `wants_rotation` only fires on an empty staging
-            // buffer, and with the shard lock held nothing can stage.
-            let inner = self.shared.shard(index).read();
-            if !wal.wants_rotation(index) {
-                continue;
-            }
-            // Rotation is a cold path: encoding the snapshot allocates.
-            #[cfg(lock_audit)]
-            let _allow = parking_lot::audit::allow_alloc();
-            let refs: Vec<wal::SnapSeriesRef<'_>> = inner
-                .series
-                .iter()
-                .map(|series| wal::SnapSeriesRef {
-                    id: series.id.0,
-                    name_sym: series.name_sym,
-                    label_syms: &series.label_syms,
-                    ever_appended: series.ever_appended,
-                    head: &series.head,
-                    sealed: &series.sealed,
-                })
-                .collect();
-            let snapshot =
-                wal::encode_shard_snapshot(committed, inner.generation, inner.rejected, &refs);
-            // An install error leaves the old log in place; retried later.
-            let _ = wal.install_shard_snapshot(index, &snapshot);
+    /// Appends shard `index`'s snapshot to a checkpoint being built, or
+    /// returns `false` when the shard has records staged for the next round
+    /// (its state is no longer the checkpoint's base round).  Lock order:
+    /// `tsdb.shard` (read) strictly before `tsdb.wal.shard`, the same order
+    /// as the append paths; with the shard lock held nothing can stage
+    /// between the check and the encode.
+    fn encode_checkpoint_shard(&self, wal: &Wal, index: usize, out: &mut Vec<u8>) -> bool {
+        let inner = self.shared.shard(index).read();
+        if !wal.staging_empty(index) {
+            return false;
         }
+        // Checkpointing is a cold path: encoding the snapshot allocates.
+        #[cfg(lock_audit)]
+        let _allow = parking_lot::audit::allow_alloc();
+        let refs: Vec<wal::SnapSeriesRef<'_>> = inner
+            .series
+            .iter()
+            .map(|series| wal::SnapSeriesRef {
+                id: series.id.0,
+                name_sym: series.name_sym,
+                label_syms: &series.label_syms,
+                ever_appended: series.ever_appended,
+                head: &series.head,
+                sealed: &series.sealed,
+            })
+            .collect();
+        wal::encode_shard_snapshot(out, inner.generation, inner.rejected, &refs);
+        true
     }
 
     /// Rebuilds in-memory state from what [`Wal::open`] recovered.  A shard
@@ -815,10 +808,6 @@ impl TimeSeriesDb {
     /// CRC) comes up empty and flagged, never panics.
     fn replay(&self, recovery: wal::Recovery) {
         {
-            // Bindings install in file order, last-wins per slot: the
-            // overlap left by an interrupted meta rotation and the rebind
-            // of a swept-and-reused slot both resolve to the state the
-            // live table ended in.
             let mut symbols = self.shared.symbols.write();
             for (raw, s) in &recovery.bindings {
                 symbols.install_binding(*raw, s);
@@ -826,19 +815,17 @@ impl TimeSeriesDb {
             symbols.set_epoch(recovery.epoch);
         }
         let mut max_id: Option<u64> = None;
-        for (index, shard) in recovery.shards.into_iter().enumerate() {
-            match shard {
-                wal::ShardRecovery::Empty => {}
-                wal::ShardRecovery::Failed => {}
-                wal::ShardRecovery::Loaded(load) => {
-                    if !self.replay_shard(index, load, recovery.committed, &mut max_id) {
-                        // Validation failed mid-replay: drop the partial
-                        // state, bring the shard up empty and flagged.
-                        probes::WAL_SALVAGE.inc();
-                        if let Some(wal) = &self.shared.wal {
-                            wal.mark_shard_failed(index);
-                        }
-                    }
+        for (index, load) in recovery.shards.into_iter().enumerate() {
+            let Some(load) = load else { continue };
+            if load.snapshot.is_none() && load.ops.is_empty() {
+                continue;
+            }
+            if !self.replay_shard(index, load, &mut max_id) {
+                // Validation failed mid-replay: drop the partial state,
+                // bring the shard up empty and flagged.
+                probes::WAL_SALVAGE.inc();
+                if let Some(wal) = &self.shared.wal {
+                    wal.mark_shard_failed(index);
                 }
             }
         }
@@ -862,40 +849,33 @@ impl TimeSeriesDb {
             }
         }
         // Recovered bindings nothing references (their series were dropped
-        // before the crash, or they were written ahead of a round that
-        // never committed) enter the cooling queue instead of leaking.
+        // before the crash) enter the cooling queue instead of leaking.
         self.shared.symbols.write().finish_recovery();
     }
 
-    /// Replays one shard: restore the snapshot (sealed Gorilla blocks
-    /// verbatim), then re-apply the logged ops through the *same* code paths
-    /// live ingest uses (`MemSeries::append`, `record_append`,
+    /// Replays one shard: restore the checkpoint snapshot (sealed Gorilla
+    /// blocks verbatim), then re-apply the logged ops through the *same*
+    /// code paths live ingest uses (`MemSeries::append`, `record_append`,
     /// `remove_locals`, `retention_pass`), so acceptance decisions and
     /// aggregates reproduce exactly.  Returns `false` when validation fails;
     /// the shard is then left empty.
     ///
-    /// A record referencing a symbol with no recovered binding does not
-    /// fail the shard outright: the GC sweep legitimately removes a
-    /// symbol's binding once every series using it is dropped, and the
-    /// dropping record may be later in this very log.  The unresolvable id
-    /// gets a unique placeholder binding and the series is marked *doomed*;
-    /// only a doomed series that survives to the end of replay — which the
-    /// cooling discipline makes impossible without corruption or a
-    /// power-loss-torn drop record — fails the shard.
-    fn replay_shard(
-        &self,
-        index: usize,
-        load: wal::ShardLoad,
-        committed: u64,
-        max_id: &mut Option<u64>,
-    ) -> bool {
+    /// Symbols are installed in their final recovered state before any op
+    /// replays, so a record may reference a symbol with no binding: the GC
+    /// sweep legitimately frees a symbol once every series using it is
+    /// dropped, and the dropping record may be later in this very replay.
+    /// The unresolvable id gets a unique placeholder binding and the series
+    /// is marked *doomed*; only a doomed series that survives to the end of
+    /// replay — which the cooling discipline makes impossible without
+    /// corruption — fails the shard.  (A slot freed and rebound later
+    /// resolves to its final string the same way; the cooling discipline
+    /// guarantees the series holding the old string is dropped too.)
+    fn replay_shard(&self, index: usize, load: wal::ShardLoad, max_id: &mut Option<u64>) -> bool {
         let chunk_size = self.config.chunk_size.max(1);
         let raw_chunks = self.config.raw_chunks;
         let mut inner = ShardInner::default();
-        let mut base_seq = 0u64;
         let mut doomed: HashSet<u64> = HashSet::new();
         if let Some(snapshot) = load.snapshot {
-            base_seq = snapshot.base_seq;
             inner.generation = snapshot.generation;
             inner.rejected = snapshot.rejected;
             let mut symbols = self.shared.symbols.write();
@@ -933,24 +913,9 @@ impl TimeSeriesDb {
             inner.bytes = inner.series.iter().map(MemSeries::resident_bytes).sum();
             inner.refresh_time_bounds();
         }
-        let mut round = 0u64;
         for op in load.ops {
-            if let wal::ShardOp::Round(seq) = op {
-                round = seq;
-                continue;
-            }
-            if round <= base_seq {
-                // Already folded into the snapshot this log rotated from.
-                continue;
-            }
-            if round > committed {
-                // Tail of a round that never committed — it was never acked.
-                probes::WAL_RECORDS_DROPPED.inc();
-                continue;
-            }
             probes::WAL_RECORDS_REPLAYED.inc();
             match op {
-                wal::ShardOp::Round(_) => {}
                 wal::ShardOp::Series { id, name_sym, label_syms } => {
                     let mut symbols = self.shared.symbols.write();
                     let mut holed = false;
@@ -1237,8 +1202,8 @@ impl TimeSeriesDb {
     ///
     /// Dropping series also releases their interned symbols (name, label
     /// keys/values).  A symbol whose refcount reaches zero is parked in a
-    /// cooling queue and reclaimed at the next meta-log rotation once two
-    /// durable commits have passed — so an all-time-unique label value gives
+    /// cooling queue and reclaimed by the WAL flush once two durable
+    /// commits have passed — so an all-time-unique label value gives
     /// its string memory back instead of leaking it (see the lifecycle notes
     /// on `crate::symbols::SymbolTable`).
     pub fn drop_series(&self, selector: &Selector) -> usize {

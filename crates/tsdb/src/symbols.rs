@@ -18,14 +18,15 @@
 //! A binding whose refcount reaches zero is not freed immediately — it joins
 //! a cooling queue and becomes reclaimable only after **two** durable WAL
 //! commits have passed ([`SymbolTable::commit_durable`]).  That cooling window
-//! guarantees the shard-log record that performed the release is itself
-//! durable before the slot can be freed, so replay can never observe a reused
-//! id without also observing the drop that made the reuse legal.
+//! guarantees the WAL record that performed the release is itself durable
+//! before the slot can be freed, so replay can never observe a reused id
+//! without also observing the drop that made the reuse legal.
 //!
-//! [`SymbolTable::sweep`] (called at meta-log rotation, so segment snapshots
-//! stay self-consistent) frees matured zero-ref slots: the string is dropped,
-//! the slot joins a free list, the slot's generation is bumped (mirroring the
-//! `SeriesHandle` generation discipline) and the table-wide epoch advances.
+//! [`SymbolTable::sweep`] (called by every WAL flush, which records the freed
+//! slots in the round's frame) frees matured zero-ref slots: the string is
+//! dropped, the slot joins a free list, the slot's generation is bumped
+//! (mirroring the `SeriesHandle` generation discipline) and the table-wide
+//! epoch advances.
 //! The generation check means a stale cooling-queue entry — or any other
 //! holder of a pre-free id — can never free or resolve a slot that has since
 //! been rebound to a different string.
@@ -109,11 +110,14 @@ pub(crate) struct SymbolTable {
     /// Slot indices bound (interned or rebound) since the last WAL capture;
     /// drained by [`SymbolTable::take_dirty_bindings`].
     dirty: Vec<u32>,
+    /// Slot indices freed by sweeps since the last WAL capture; drained by
+    /// [`SymbolTable::take_freed`].
+    freed: Vec<u32>,
     /// Durable WAL commits observed, advanced by
     /// [`SymbolTable::commit_durable`].
     commits: u64,
-    /// Bumped once per sweep that frees at least one slot; recorded in the
-    /// meta-log snapshot at rotation.
+    /// Bumped once per sweep that frees at least one slot; recorded in WAL
+    /// checkpoints.
     epoch: u64,
     /// Estimated heap bytes held by live bindings, maintained incrementally.
     bytes: u64,
@@ -230,8 +234,8 @@ impl SymbolTable {
 
     /// Frees every cooled zero-ref binding, returning how many were freed.
     ///
-    /// Called at meta-log rotation (after a durable commit), so freed slots
-    /// never disappear out from under an unflushed segment snapshot.  A slot
+    /// Called by every WAL flush, which records the freed slots (see
+    /// [`SymbolTable::take_freed`]) in the round it commits.  A slot
     /// is freed only if its cooling entry matured ([`COOLING_COMMITS`] durable
     /// commits), its generation still matches (it was not already freed and
     /// rebound) and its refcount is still zero (it was not resurrected by a
@@ -255,6 +259,7 @@ impl SymbolTable {
             self.live = self.live.saturating_sub(1);
             self.ids.remove(&string);
             self.free.push(entry.slot);
+            self.freed.push(entry.slot);
             freed += 1;
         }
         if freed > 0 {
@@ -265,8 +270,8 @@ impl SymbolTable {
 
     /// Drains the bindings recorded since the last capture, as
     /// `(raw id, string)` pairs for the WAL symbol delta.  The caller writes
-    /// them before the commit record of the round that references them; on a
-    /// failed meta write the loss is moot — meta failure is sticky.
+    /// them in the frame of the round that references them; on a failed
+    /// write the loss is moot — log failure is sticky.
     pub(crate) fn take_dirty_bindings(&mut self) -> Vec<(u32, Arc<str>)> {
         let dirty = std::mem::take(&mut self.dirty);
         dirty
@@ -278,9 +283,13 @@ impl SymbolTable {
             .collect()
     }
 
-    /// Every live binding, for the sparse meta-log rotation snapshot.
-    /// Rotation clears the dirty list afterwards (the snapshot subsumes it)
-    /// via [`SymbolTable::clear_dirty`].
+    /// Drains the slots freed by sweeps since the last capture, for the WAL
+    /// symbol delta.
+    pub(crate) fn take_freed(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.freed)
+    }
+
+    /// Every live binding, for a WAL checkpoint.
     pub(crate) fn live_bindings(&self) -> Vec<(u32, Arc<str>)> {
         self.slots
             .iter()
@@ -292,17 +301,10 @@ impl SymbolTable {
             .collect()
     }
 
-    /// Forgets pending deltas after a rotation snapshot captured every live
-    /// binding.
-    pub(crate) fn clear_dirty(&mut self) {
-        self.dirty.clear();
-    }
-
     /// Installs a recovered binding at an exact slot, growing the table as
-    /// needed.  Later installs for the same slot win (WAL file order), which
-    /// makes the snapshot/delta overlap of an interrupted rotation
-    /// idempotent.  Recovered bindings are durable by definition, so they are
-    /// *not* marked dirty.
+    /// needed; a later install for the same slot replaces the earlier one.
+    /// Recovered bindings are durable by definition, so they are *not*
+    /// marked dirty.
     pub(crate) fn install_binding(&mut self, raw: u32, s: &str) {
         let idx = raw as usize;
         if self.slots.len() <= idx {
@@ -324,7 +326,7 @@ impl SymbolTable {
         self.ids.insert(string, raw);
     }
 
-    /// Restores the sweep epoch recorded in a meta-log snapshot.
+    /// Restores the sweep epoch recovered from the WAL.
     pub(crate) fn set_epoch(&mut self, epoch: u64) {
         self.epoch = self.epoch.max(epoch);
     }
@@ -338,7 +340,7 @@ impl SymbolTable {
     /// outright instead of cooled: they are placeholders replay installed so
     /// a series record referencing a legitimately swept symbol could be
     /// materialised and then dropped — no acked state ever held them, and
-    /// cooling one would let it leak into the next rotation snapshot.
+    /// cooling one would let it leak into the next checkpoint.
     pub(crate) fn finish_recovery(&mut self) {
         self.free.clear();
         self.cooling.clear();
@@ -379,7 +381,7 @@ impl SymbolTable {
         self.bytes
     }
 
-    /// Sweep epoch: how many rotations have freed at least one symbol.
+    /// Sweep epoch: how many sweeps have freed at least one symbol.
     pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }

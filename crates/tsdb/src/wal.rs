@@ -1,81 +1,95 @@
-//! Per-shard write-ahead log: durability for [`crate::TimeSeriesDb`].
+//! Write-ahead log: durability for [`crate::TimeSeriesDb`].
 //!
-//! The ingest fast lane already batches appends per shard per scrape round,
-//! which is exactly the boundary a sequential log wants.  Every mutation of a
-//! shard (series creation, every sample append — including rejected ones,
-//! series drops, retention passes) is staged into that shard's reusable in-memory
-//! buffer while the shard lock is held, and once per round the scrape driver
-//! calls [`crate::TimeSeriesDb::wal_flush`], which performs **one sequential
-//! write per dirty shard** (sample appends are packed into one batched,
-//! CRC-checksummed record per shard per round).  When the write lands is
-//! governed by [`FsyncMode`]: the default syncs only on snapshot rotation —
-//! appends survive a process crash via the page cache, power loss may lose
-//! the tail since the last rotation — while [`FsyncMode::EveryCommit`] adds
-//! an fsync per dirty log per round and makes every acked round power-loss
-//! safe.  The staged buffers are preallocated and reused, so the warm
-//! durable path stays allocation-free.
+//! Every mutation of a shard (series creation, every sample append —
+//! including rejected ones, series drops, retention passes) is staged into
+//! that shard's reusable in-memory buffer while the shard lock is held.  Once
+//! per round the scrape driver calls [`crate::TimeSeriesDb::wal_flush`],
+//! which packs every dirty shard's staged records and the round's
+//! symbol-table delta into **one CRC-framed frame** and appends it to the
+//! round log in **one write**.  A frame that verifies *is* the commit.  When
+//! the write lands is governed by [`FsyncMode`]: the default syncs only when
+//! a checkpoint is taken — appends survive a process crash via the page
+//! cache, power loss may lose the rounds since the last checkpoint — while
+//! [`FsyncMode::EveryCommit`] adds one fsync per round and makes every acked
+//! round power-loss safe.  The staging buffers and the frame buffer are
+//! retained round over round, so the warm durable path stays
+//! allocation-free.
 //!
 //! # On-disk layout
 //!
-//! A durability directory holds four kinds of files (`NN` = shard `00`..`15`):
+//! A durability directory holds two files, plus `checkpoint.tmp` while a
+//! checkpoint is being replaced:
 //!
-//! | file           | contents                                               |
-//! |----------------|--------------------------------------------------------|
-//! | `meta.wal`     | symbol-table deltas + round `COMMIT` markers           |
-//! | `meta.snap`    | full symbol table snapshot (rotation of `meta.wal`)    |
-//! | `shard-NN.wal` | the shard's round batches since its last snapshot      |
-//! | `shard-NN.snap`| the shard's state at rotation (Gorilla-sealed chunks)  |
+//! | file              | contents                                           |
+//! |-------------------|----------------------------------------------------|
+//! | `rounds.wal`      | one frame per round committed since the checkpoint |
+//! | `checkpoint.snap` | the whole database as of one round, its *base*     |
 //!
-//! Every record in every file uses the same frame:
+//! Both files are sequences of the same frame:
 //!
 //! ```text
 //! +----------+----------+---------------------------+
 //! | len: u32 | crc: u32 | payload (len bytes)       |   little-endian;
 //! +----------+----------+---------------------------+   crc32(payload)
-//!      payload[0] = record type, rest type-specific
+//!      payload[0] = frame type, rest type-specific
 //! ```
 //!
-//! Shard records carry no sequence number of their own.  Instead, the first
-//! record staged into an empty shard buffer is a `ROUND(seq)` marker; a
-//! record's round is the most recent preceding `ROUND` in the file.  A round
-//! is durable once `meta.wal` holds `COMMIT(seq)`, which is written (and
-//! fsynced) *after* every shard batch of that round.  Recovery applies an op
-//! iff `snapshot.base_seq < round <= committed`, so a torn tail — a shard
-//! batch without its commit — is dropped deterministically, and a stale
-//! shard log left behind by an interrupted rotation is skipped harmlessly.
+//! A round frame holds the round's sequence number and then sections, each
+//! `[tag: u8][len: u32][bytes]`.  There is one section per dirty shard (tag =
+//! shard index) carrying the shard's SERIES/SAMPLES/DROP/RETENTION records in
+//! staging order, and last a symbol section: the bindings interned since the
+//! previous round and the slots this round's sweep freed.  A checkpoint is a
+//! header frame (base round, sweep epoch, every live symbol binding) followed
+//! by one frame per shard, in shard order, holding that shard's snapshot
+//! with its Gorilla-sealed chunks carried verbatim.
+//!
+//! # Checkpoints
+//!
+//! After a commit, once the log holds more than `max(segment_bytes, size of
+//! the last checkpoint)` bytes, the database is checkpointed: fsync the log,
+//! replace the checkpoint atomically, truncate the log.  Sizing the trigger
+//! by the last checkpoint keeps the cost amortized — the state is rewritten
+//! at most once per its own size in logged bytes.  Each shard section is
+//! encoded under the shard's read lock while its staging buffer is empty, so
+//! it is the shard at exactly the base round; an append racing the flush
+//! leaves a buffer non-empty and postpones the checkpoint to the next commit.
+//! Recovery loads the checkpoint and replays the frames whose sequence number
+//! is above its base: a crash between the replace and the truncation leaves
+//! older frames in the log, and those are skipped.
 //!
 //! # Salvage and isolation
 //!
-//! Recovery scans each log until the first frame whose length, CRC or payload
-//! does not verify, then physically truncates the file back to the last valid
-//! record, counting what was dropped through `teemon_obs` probes
+//! Recovery scans the log up to the first frame whose length, CRC or
+//! structure does not verify, then physically truncates the file there,
+//! counting what was dropped through `teemon_obs` probes
 //! (`teemon_wal_salvage_total`, `teemon_wal_salvaged_bytes_total`).  A shard
-//! whose *snapshot* is unreadable cannot be reconstructed at all: it comes up
-//! empty and flagged in [`crate::StorageStats::wal_failed_shards`], without
-//! affecting the other shards.  Runtime write/fsync errors likewise fail only
-//! the shard (or the meta log) they hit; the database keeps serving.
+//! whose checkpoint section or round section does not decode comes up empty
+//! and flagged in [`crate::StorageStats::wal_failed_shards`], without
+//! affecting the other shards.  An unreadable checkpoint header (the symbol
+//! table every shard references) and any write or fsync error on the log
+//! fail the whole log: all shards are flagged and nothing is written again,
+//! while the database keeps serving from memory.
 //!
 //! # Locking
 //!
-//! Two new lock classes, neither ever nested with the other:
+//! * `"tsdb.wal.shard"` (one instance per shard) guards a shard's staging
+//!   buffer.  Taken *after* the shard's `tsdb.shard` lock on the staging
+//!   path.
+//! * `"tsdb.wal"` guards the round log.  The flush takes it first and then,
+//!   one at a time, each `tsdb.wal.shard` (to drain it) and `tsdb.symbols`
+//!   (write: delta capture, sweep, commit aging).  The checkpoint takes it
+//!   first and then `tsdb.symbols` (read) and, one shard at a time, the
+//!   shard's `tsdb.shard` (read) with its `tsdb.wal.shard` inside.
 //!
-//! * `"tsdb.wal.shard"` (one instance per shard) guards a shard's staged
-//!   buffer + file handle.  Acquired *after* the corresponding `tsdb.shard`
-//!   lock on the staging path, and after `tsdb.wal.meta` on the flush path.
-//! * `"tsdb.wal.meta"` guards the meta log.  Acquired first on the flush
-//!   path, with `tsdb.symbols` (write: delta capture, commit aging and the
-//!   rotation-point symbol sweep) and `tsdb.wal.shard` taken inside.
-//!
-//! The resulting order — `tsdb.shard → tsdb.wal.meta → {tsdb.symbols,
-//! tsdb.wal.shard}`, `tsdb.shard → tsdb.wal.shard` — is acyclic (the
-//! `tsdb.shard → tsdb.wal.meta` edge comes from rotation, which syncs the
-//! meta log while holding the shard's data lock).  The WAL
-//! classes are deliberately not marked `no_alloc`: cold-path buffer growth
-//! (and the in-memory [`FaultFs`] used by tests) allocates under them, and
-//! the allocation-freedom of the *warm* durable round is proven directly by
-//! the counting-allocator test instead.
+//! The resulting order — `tsdb.wal → tsdb.shard → tsdb.wal.shard`,
+//! `tsdb.wal → {tsdb.wal.shard, tsdb.symbols}` — is acyclic, and nothing
+//! takes `tsdb.wal` while holding another lock.  The WAL classes are
+//! deliberately not marked `no_alloc`: cold-path buffer growth (and the
+//! in-memory [`FaultFs`] used by tests) allocates under them, and the
+//! allocation-freedom of the *warm* durable round is proven directly by the
+//! counting-allocator test instead.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -92,15 +106,15 @@ use crate::storage::SHARD_COUNT;
 use crate::symbols::{SymbolId, SymbolTable};
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE) and record framing
+// CRC32 (IEEE) and framing
 // ---------------------------------------------------------------------------
 
 /// IEEE CRC-32 slice-by-8 tables (polynomial `0xEDB88320`), built at
 /// compile time.  `CRC_TABLES[0]` is the classic byte-at-a-time table; table
 /// `k` advances a byte seen `k` positions earlier, so eight table lookups
-/// retire eight input bytes per iteration — the staging hot path runs one
-/// CRC over each record's whole payload, and at ~0.5 cycles/byte it stays
-/// negligible next to the write syscall.
+/// retire eight input bytes per iteration — the flush runs one CRC over each
+/// round's whole frame, and at ~0.5 cycles/byte it stays negligible next to
+/// the write syscall.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -164,17 +178,27 @@ fn crc32(bytes: &[u8]) -> u32 {
 /// Frame header size: `len: u32` + `crc: u32`.
 const FRAME_BYTES: usize = 8;
 /// Upper bound a frame length must pass before it is believed (256 MiB).
-const MAX_RECORD_LEN: usize = 1 << 28;
+const MAX_FRAME_LEN: usize = 1 << 28;
 /// Upper bound for element counts inside payloads (defends against garbage
 /// lengths in CRC-colliding corruption).
 const MAX_COUNT: u32 = 1 << 24;
 
-// Record types.  Meta log:
-const REC_SYMBOLS: u8 = 1;
-const REC_COMMIT: u8 = 2;
-const REC_SNAP_SYMBOLS: u8 = 3;
-// Shard log:
-const REC_ROUND: u8 = 16;
+// Frame types.  Round log:
+const FRAME_ROUND: u8 = 1;
+// Checkpoint: the header, then one shard frame per shard in shard order.
+const FRAME_CHECKPOINT: u8 = 2;
+const FRAME_SHARD: u8 = 3;
+/// Stands in for the snapshot of a shard that failed recovery, so the shard
+/// stays failed across restarts instead of coming back with unlogged data.
+const FRAME_SHARD_FAILED: u8 = 4;
+
+/// Tag of a round frame's symbol section; shard sections are tagged with
+/// their shard index.
+const SECTION_SYMBOLS: u8 = 0xFF;
+/// Bytes of a section header: tag + length.
+const SECTION_HEADER_BYTES: usize = 5;
+
+// Shard records, self-delimiting, back to back inside a shard section.
 const REC_SERIES: u8 = 17;
 const REC_SAMPLES: u8 = 18;
 const REC_DROP: u8 = 19;
@@ -188,20 +212,16 @@ const REC_RETENTION: u8 = 20;
 const SAMPLE_ENTRY_BYTES: usize = 12;
 /// Bytes of a `REC_SAMPLES` batch header: type, entry count, timestamp.
 const SAMPLE_HEADER_BYTES: usize = 13;
-// Shard snapshot:
-const REC_SNAP_HEADER: u8 = 32;
-const REC_SNAP_SERIES: u8 = 33;
-const REC_SNAP_FOOTER: u8 = 34;
 
 /// Opens a frame in `buf`: reserves the 8-byte header, returns its offset.
-fn begin_record(buf: &mut Vec<u8>) -> usize {
+fn begin_frame(buf: &mut Vec<u8>) -> usize {
     let at = buf.len();
     buf.extend_from_slice(&[0u8; FRAME_BYTES]);
     at
 }
 
 /// Closes the frame opened at `at`: patches payload length and CRC in place.
-fn end_record(buf: &mut [u8], at: usize) {
+fn end_frame(buf: &mut [u8], at: usize) {
     let payload_len = buf.len().saturating_sub(at + FRAME_BYTES) as u32;
     let crc = crc32(buf.get(at + FRAME_BYTES..).unwrap_or(&[]));
     if let Some(header) = buf.get_mut(at..at + FRAME_BYTES) {
@@ -217,6 +237,28 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a section: tag, length, body.
+fn put_section(buf: &mut Vec<u8>, tag: u8, body: &[u8]) {
+    buf.push(tag);
+    put_u32(buf, body.len() as u32);
+    buf.extend_from_slice(body);
+}
+
+/// Appends `(raw id, string)` symbol bindings, count first.
+fn put_bindings(buf: &mut Vec<u8>, bindings: &[(u32, Arc<str>)]) {
+    put_u32(buf, bindings.len() as u32);
+    for (raw, s) in bindings {
+        put_u32(buf, *raw);
+        put_u32(buf, s.len() as u32);
+        buf.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// Encoded size of [`put_bindings`]' output.
+fn bindings_len(bindings: &[(u32, Arc<str>)]) -> usize {
+    4 + bindings.iter().map(|(_, s)| 8 + s.len()).sum::<usize>()
 }
 
 /// Bounds-checked little-endian cursor over one frame's payload.
@@ -249,13 +291,55 @@ impl<'a> Cur<'a> {
         self.take(8).and_then(|b| <[u8; 8]>::try_from(b).ok()).map(u64::from_le_bytes)
     }
 
+    /// An element count, rejected above [`MAX_COUNT`].
+    fn count(&mut self) -> Option<u32> {
+        self.u32().filter(|&n| n <= MAX_COUNT)
+    }
+
     fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
 }
 
+/// Reads `(raw id, string)` symbol bindings written by [`put_bindings`].
+fn take_bindings(cur: &mut Cur<'_>) -> Option<Vec<(u32, String)>> {
+    let count = cur.count()?;
+    let mut bindings = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let raw = cur.u32()?;
+        let len = cur.u32()? as usize;
+        let s = std::str::from_utf8(cur.take(len)?).ok()?;
+        bindings.push((raw, s.to_owned()));
+    }
+    Some(bindings)
+}
+
+/// A verified frame: its type and the rest of its payload.
+type Frame<'a> = (u8, &'a [u8]);
+
+/// The frame starting at `at`: the offset just past it and, when its CRC
+/// verifies, the frame.  `None` when no complete frame of a believable
+/// length starts there.
+fn frame_at(bytes: &[u8], at: usize) -> Option<(usize, Option<Frame<'_>>)> {
+    let header = bytes.get(at..at.checked_add(FRAME_BYTES)?)?;
+    let (len_bytes, crc_bytes) = header.split_at(4);
+    let len = <[u8; 4]>::try_from(len_bytes).ok().map(u32::from_le_bytes)? as usize;
+    let crc = <[u8; 4]>::try_from(crc_bytes).ok().map(u32::from_le_bytes)?;
+    if len > MAX_FRAME_LEN {
+        return None;
+    }
+    let end = at + FRAME_BYTES + len;
+    let payload = bytes.get(at + FRAME_BYTES..end)?;
+    let verified = if crc32(payload) == crc {
+        payload.split_first().map(|(&kind, rest)| (kind, rest))
+    } else {
+        None
+    };
+    Some((end, verified))
+}
+
 /// Walks the frames of a log image, yielding `(type, payload)` per valid
-/// record and stopping at the first frame that fails to verify.  `valid_len`
+/// frame and stopping at the first frame that fails to verify.  `valid_len`
 /// after iteration is the salvage point.
 struct FrameScanner<'a> {
     bytes: &'a [u8],
@@ -269,24 +353,13 @@ impl<'a> FrameScanner<'a> {
 }
 
 impl<'a> Iterator for FrameScanner<'a> {
-    type Item = (u8, &'a [u8]);
+    type Item = Frame<'a>;
 
-    fn next(&mut self) -> Option<(u8, &'a [u8])> {
-        let at = self.valid_len;
-        let header = self.bytes.get(at..at + FRAME_BYTES)?;
-        let (len_bytes, crc_bytes) = header.split_at(4);
-        let len = <[u8; 4]>::try_from(len_bytes).ok().map(u32::from_le_bytes)? as usize;
-        let crc = <[u8; 4]>::try_from(crc_bytes).ok().map(u32::from_le_bytes)?;
-        if len > MAX_RECORD_LEN {
-            return None;
-        }
-        let payload = self.bytes.get(at + FRAME_BYTES..at + FRAME_BYTES + len)?;
-        if crc32(payload) != crc {
-            return None;
-        }
-        let kind = *payload.first()?;
-        self.valid_len = at + FRAME_BYTES + len;
-        Some((kind, payload.get(1..).unwrap_or(&[])))
+    fn next(&mut self) -> Option<Frame<'a>> {
+        let (end, frame) = frame_at(self.bytes, self.valid_len)?;
+        let frame = frame?;
+        self.valid_len = end;
+        Some(frame)
     }
 }
 
@@ -464,7 +537,7 @@ impl FaultFs {
     /// any append, but non-append operations (atomic replaces, truncations,
     /// fsyncs) consume nothing and are applied together with the append
     /// that precedes them.  Use [`FaultFs::crashed_at_op`] to place a crash
-    /// *between* two journalled operations — e.g. between a snapshot's
+    /// *between* two journalled operations — e.g. between a checkpoint's
     /// atomic install and the truncation of the log it replaces.
     pub fn crashed(&self, budget: u64, model: CrashModel) -> FaultFs {
         let state = self.state.lock();
@@ -481,7 +554,7 @@ impl FaultFs {
     /// first `ops` operations applied in full, everything later lost.
     /// Unlike the byte budget of [`FaultFs::crashed`], this axis can land a
     /// crash between two non-append operations, covering windows like an
-    /// interrupted meta rotation (snapshot installed, log not yet
+    /// interrupted checkpoint (checkpoint installed, log not yet
     /// truncated).
     pub fn crashed_at_op(&self, ops: u64, model: CrashModel) -> FaultFs {
         let state = self.state.lock();
@@ -691,19 +764,19 @@ impl WalFile for FailpointWriter {
 /// When the write-ahead log calls fsync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncMode {
-    /// Fsync every commit: one write **and one fsync** per dirty log per
-    /// round.  Every acked round survives even power loss; the price is a
-    /// fsync syscall per dirty shard per round, which dominates the
-    /// durability overhead at small batch sizes.  The crash-exactness
-    /// property tests run in this mode — it is the mode in which "acked"
-    /// equals "synced".
+    /// Fsync every commit: one write **and one fsync** per round.  Every
+    /// acked round survives even power loss; the price is the fsync
+    /// syscall, which dominates the durability overhead at small batch
+    /// sizes.  The crash-exactness property tests run in this mode — it is
+    /// the mode in which "acked" equals "synced".
     EveryCommit,
-    /// Fsync only when a log rotates onto its snapshot (the snapshot's
-    /// atomic replace is always synced).  Round appends still hit the
-    /// kernel with one `write` per dirty shard, so they survive a process
-    /// crash at full fidelity — the page cache persists — but power loss
-    /// may lose the tail written since the last rotation.  This is the
-    /// default, the same trade Prometheus' WAL makes.
+    /// Fsync only when a checkpoint is taken (the log is synced before the
+    /// checkpoint replaces the old one, and the replace itself is always
+    /// synced).  Rounds still reach the kernel with one `write` each, so
+    /// they survive a process crash at full fidelity — the page cache
+    /// persists — but power loss may lose the rounds written since the last
+    /// checkpoint.  This is the default, the same trade Prometheus' WAL
+    /// makes.
     #[default]
     OnRotation,
 }
@@ -711,8 +784,10 @@ pub enum FsyncMode {
 /// Durability configuration for [`crate::TimeSeriesDb::open_with`].
 #[derive(Clone)]
 pub struct DurabilityOptions {
-    /// A shard log is rotated into a snapshot once it exceeds this many
-    /// bytes (and the same bound rotates the meta log).
+    /// The round log is checkpointed once it holds more than this many
+    /// bytes, or more than the last checkpoint's size if that is larger —
+    /// so rewriting the whole state stays amortized over at least as many
+    /// logged bytes as the state itself.
     pub segment_bytes: u64,
     /// Fsync policy; see [`FsyncMode`].
     pub fsync: FsyncMode,
@@ -739,7 +814,7 @@ impl fmt::Debug for DurabilityOptions {
 // The log itself
 // ---------------------------------------------------------------------------
 
-/// Reserves `additional` bytes of staging capacity.  Growth is the cold path
+/// Reserves `additional` bytes of buffer capacity.  Growth is the cold path
 /// (buffers are retained round over round); the lock audit's no-alloc check
 /// is suspended for it because staging runs under the `tsdb.shard` lock.
 fn reserve_staged(buf: &mut Vec<u8>, additional: usize) {
@@ -750,74 +825,66 @@ fn reserve_staged(buf: &mut Vec<u8>, additional: usize) {
     }
 }
 
-struct MetaLog {
+/// The round log: file handle, the frame under construction (retained
+/// round over round) and the cadence state of the checkpoint.
+struct RoundLog {
     file: Option<Box<dyn WalFile>>,
-    staged: Vec<u8>,
+    frame: Vec<u8>,
+    /// Bytes in the log file — everything written since the last checkpoint.
     size: u64,
+    /// Size of the last checkpoint written or found at startup.
+    checkpoint_size: u64,
+    /// Sequence number of the last committed round.
+    committed: u64,
 }
 
-struct ShardLog {
-    file: Option<Box<dyn WalFile>>,
+/// One shard's staged records for the next round.
+#[derive(Default)]
+struct ShardStage {
     staged: Vec<u8>,
-    size: u64,
     /// Offset and shared timestamp of the currently open `REC_SAMPLES`
-    /// frame in `staged`, if the most recently staged record is a sample
+    /// record in `staged`, if the most recently staged record is a sample
     /// batch still accepting entries.  Consecutive same-timestamp samples
-    /// of a round append to one batch (one frame + one CRC for the whole
-    /// round's samples per shard); staging any other record type, a sample
-    /// at a different timestamp, or the flush seals it first.
+    /// of a round append to one batch; staging any other record type, a
+    /// sample at a different timestamp, or the flush seals it first.
     open_samples: Option<(usize, u64)>,
 }
 
-impl ShardLog {
-    /// Seals the open sample batch, if any: patches the entry count and the
-    /// frame header (length + CRC) in place.
+impl ShardStage {
+    /// Seals the open sample batch, if any: patches its entry count.
     fn close_samples(&mut self) {
         if let Some((at, _)) = self.open_samples.take() {
-            let entries = self.staged.len().saturating_sub(at + FRAME_BYTES + SAMPLE_HEADER_BYTES)
-                / SAMPLE_ENTRY_BYTES;
-            if let Some(slot) = self.staged.get_mut(at + FRAME_BYTES + 1..at + FRAME_BYTES + 5) {
+            let entries =
+                self.staged.len().saturating_sub(at + SAMPLE_HEADER_BYTES) / SAMPLE_ENTRY_BYTES;
+            if let Some(slot) = self.staged.get_mut(at + 1..at + 5) {
                 slot.copy_from_slice(&(entries as u32).to_le_bytes());
             }
-            end_record(&mut self.staged, at);
         }
     }
 }
 
-/// Result of one [`Wal::flush`].
-pub(crate) struct FlushStats {
-    /// The round sequence number just made durable, if any round committed.
-    pub(crate) committed: Option<u64>,
-    /// `false` when any shard (or the meta log) hit a write/fsync error,
-    /// this round or earlier.
-    pub(crate) clean: bool,
-}
-
-/// Bit in [`Wal::failed`] marking the meta log broken (shard bits are
+/// Bit in [`Wal::failed`] marking the round log broken (shard bits are
 /// `1 << shard`).
-const META_FAILED_BIT: u64 = 1 << 63;
+const LOG_FAILED_BIT: u64 = 1 << 63;
 
-/// The per-shard write-ahead log of one durable [`crate::TimeSeriesDb`].
+/// The write-ahead log of one durable [`crate::TimeSeriesDb`].
 pub(crate) struct Wal {
     fs: Arc<dyn WalFs>,
     fsync: FsyncMode,
     segment_bytes: u64,
-    /// Sequence number the *next* round will commit under (committed + 1).
-    next_seq: AtomicU64,
-    /// Failure bits: `1 << shard` per broken shard, [`META_FAILED_BIT`] for
-    /// the meta log.  Sticky — a failed log is never written again.
+    /// Failure bits: `1 << shard` per shard that failed recovery,
+    /// [`LOG_FAILED_BIT`] for the log.  Sticky — a failed shard is never
+    /// staged again, a failed log never written again.
     failed: AtomicU64,
-    meta_path: PathBuf,
-    meta_snap_path: PathBuf,
-    shard_paths: [PathBuf; SHARD_COUNT],
-    shard_snap_paths: [PathBuf; SHARD_COUNT],
-    meta: Mutex<MetaLog>,
-    shards: [Mutex<ShardLog>; SHARD_COUNT],
+    log_path: PathBuf,
+    checkpoint_path: PathBuf,
+    log: Mutex<RoundLog>,
+    shards: [Mutex<ShardStage>; SHARD_COUNT],
 }
 
 impl Wal {
-    /// Marks `shard` broken (sticky): no further writes, counted in
-    /// [`Wal::failed_shard_count`].  Also used by the storage layer when a
+    /// Marks `shard` broken (sticky): no further staging, counted in
+    /// [`Wal::failed_shard_count`].  Used by the storage layer when a
     /// shard's recovered state fails validation during replay.
     pub(crate) fn mark_shard_failed(&self, shard: usize) {
         if shard < SHARD_COUNT {
@@ -825,304 +892,220 @@ impl Wal {
         }
     }
 
-    fn mark_meta_failed(&self) {
-        self.failed.fetch_or(META_FAILED_BIT, Ordering::Relaxed);
+    fn mark_log_failed(&self) {
+        self.failed.fetch_or(LOG_FAILED_BIT, Ordering::Relaxed);
     }
 
     fn shard_failed(&self, shard: usize) -> bool {
         let mask = self.failed.load(Ordering::Relaxed);
-        mask & META_FAILED_BIT != 0 || shard < SHARD_COUNT && mask & (1 << shard) != 0
+        mask & LOG_FAILED_BIT != 0 || shard < SHARD_COUNT && mask & (1 << shard) != 0
     }
 
-    fn meta_failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed) & META_FAILED_BIT != 0
+    fn log_failed(&self) -> bool {
+        self.failed.load(Ordering::Relaxed) & LOG_FAILED_BIT != 0
     }
 
     /// Number of shards currently flagged as failed (all of them once the
-    /// meta log is broken) — surfaced in [`crate::StorageStats`].
+    /// log is broken) — surfaced in [`crate::StorageStats`].
     pub(crate) fn failed_shard_count(&self) -> u64 {
         let mask = self.failed.load(Ordering::Relaxed);
-        if mask & META_FAILED_BIT != 0 {
+        if mask & LOG_FAILED_BIT != 0 {
             SHARD_COUNT as u64
         } else {
             u64::from((mask & ((1 << SHARD_COUNT) - 1)).count_ones())
         }
     }
 
-    /// A staging handle for `shard`, or `None` once the shard (or the meta
-    /// log) has failed.  Locks the shard's `tsdb.wal.shard` mutex — the
-    /// caller already holds the matching `tsdb.shard` lock.
+    /// A staging handle for `shard`, or `None` once the shard (or the log)
+    /// has failed.  Locks the shard's `tsdb.wal.shard` mutex — the caller
+    /// already holds the matching `tsdb.shard` lock.
     pub(crate) fn shard_writer(&self, shard: usize) -> Option<ShardWriter<'_>> {
         if self.shard_failed(shard) {
             return None;
         }
-        let log = self.shards.get(shard)?.lock();
-        Some(ShardWriter { wal: self, log })
+        Some(ShardWriter { stage: self.shards.get(shard)?.lock() })
     }
 
-    fn write_out(
-        &self,
-        path: &Path,
-        file: &mut Option<Box<dyn WalFile>>,
-        size: &mut u64,
-        staged: &mut Vec<u8>,
-    ) -> io::Result<()> {
-        if file.is_none() {
-            let (handle, len) = self.fs.open_append(path)?;
-            *file = Some(handle);
-            *size = len;
-        }
-        let Some(handle) = file.as_mut() else {
-            return Ok(());
-        };
-        handle.append(staged)?;
-        if self.fsync == FsyncMode::EveryCommit {
-            let watch = Stopwatch::start();
-            handle.sync()?;
-            probes::WAL_FSYNC_NS.record_ns(watch.elapsed_ns());
-        }
-        probes::WAL_BYTES_WRITTEN.add(staged.len() as u64);
-        *size += staged.len() as u64;
-        staged.clear();
-        Ok(())
+    /// Whether `shard` has nothing staged.  The checkpoint calls it with the
+    /// shard's `tsdb.shard` lock held, so nothing can stage in between.
+    pub(crate) fn staging_empty(&self, shard: usize) -> bool {
+        self.shards.get(shard).is_some_and(|slot| slot.lock().staged.is_empty())
     }
 
-    /// Flushes all staged data for the round: every dirty shard first (one
-    /// sequential write + fsync each), then the symbol delta and the
-    /// `COMMIT` marker in one sequential meta write.  Errors fail only the
-    /// log they hit; surviving shards still commit.  Called once per scrape
-    /// round by the single flush driver — crash-exactness ("recover
-    /// precisely the acked rounds") is defined for that single-flusher
-    /// discipline — but appends racing a flush from other threads stay
-    /// safe: `next_seq` is advanced *before* any shard buffer is drained,
-    /// so a record staged after its shard's batch was written stamps the
-    /// next round (the release/acquire on the shard's WAL mutex publishes
-    /// the store), and the symbol delta is captured *after* the drain, so
-    /// every symbol a drained record references reaches the meta log ahead
-    /// of the commit that makes the record replayable.
-    pub(crate) fn flush(&self, symbols: &RwLock<SymbolTable>) -> FlushStats {
-        let mut meta = self.meta.lock();
-        if self.meta_failed() {
-            return FlushStats { committed: None, clean: false };
-        }
-        let seq = self.next_seq.load(Ordering::Relaxed);
-        // Seal round `seq` before touching any shard buffer.  A record
-        // staged into a shard whose batch for this round was already
-        // drained would otherwise claim a round about to commit without
-        // it; replay would then treat the record — physically written by
-        // the *next* flush — as committed, resurrecting samples that were
-        // never acked after a crash before the next commit.
-        self.next_seq.store(seq + 1, Ordering::Relaxed);
-
-        // Per-shard round batches.
-        let mut clean = true;
-        let mut wrote_any = false;
-        for (i, slot) in self.shards.iter().enumerate() {
-            if self.shard_failed(i) {
-                clean = false;
-                continue;
-            }
-            let mut log = slot.lock();
-            if log.staged.is_empty() {
-                continue;
-            }
-            log.close_samples();
-            let path = match self.shard_paths.get(i) {
-                Some(path) => path,
-                None => continue,
-            };
-            let ShardLog { file, staged, size, .. } = &mut *log;
-            match self.write_out(path, file, size, staged) {
-                Ok(()) => wrote_any = true,
-                Err(_) => {
-                    self.mark_shard_failed(i);
-                    clean = false;
-                }
-            }
-        }
-
-        // Stage the symbol delta: the `(id, string)` bindings interned (or
-        // rebound onto reused slots) since the last capture.  Captured after
-        // the drain so it also covers series records staged while the
-        // batches were being written; it precedes the commit in the meta
-        // log, so recovery always sees a round's bindings before believing
-        // the records that reference them.  Draining the dirty list before
-        // the write is safe: a failed meta write marks the meta log failed
-        // (sticky), so the lost delta can never be missed by a later flush.
-        {
-            let new = symbols.write().take_dirty_bindings();
-            if !new.is_empty() {
-                let need: usize =
-                    FRAME_BYTES + 5 + new.iter().map(|(_, s)| 8 + s.len()).sum::<usize>();
-                reserve_staged(&mut meta.staged, need);
-                let buf = &mut meta.staged;
-                let at = begin_record(buf);
-                buf.push(REC_SYMBOLS);
-                put_u32(buf, new.len() as u32);
-                for (raw, s) in &new {
-                    put_u32(buf, *raw);
-                    put_u32(buf, s.len() as u32);
-                    buf.extend_from_slice(s.as_bytes());
-                }
-                end_record(buf, at);
-            }
-        }
-
-        if !wrote_any {
-            // No round to commit; new symbols (if any) still go durable.
-            if !meta.staged.is_empty() {
-                let MetaLog { file, staged, size } = &mut *meta;
-                if self.write_out(&self.meta_path, file, size, staged).is_err() {
-                    self.mark_meta_failed();
-                    return FlushStats { committed: None, clean: false };
-                }
-            }
-            return FlushStats { committed: None, clean };
-        }
-
-        // Commit the round: symbol delta + COMMIT land in one write.
-        reserve_staged(&mut meta.staged, FRAME_BYTES + 9);
-        {
-            let buf = &mut meta.staged;
-            let at = begin_record(buf);
-            buf.push(REC_COMMIT);
-            put_u64(buf, seq);
-            end_record(buf, at);
-        }
-        let MetaLog { file, staged, size } = &mut *meta;
-        if self.write_out(&self.meta_path, file, size, staged).is_err() {
-            self.mark_meta_failed();
-            return FlushStats { committed: None, clean: false };
-        }
-        // Age the symbol-GC cooling queue: zero-ref bindings become
-        // sweepable only after two of these boundaries, which guarantees
-        // the shard record that released them is durable first.
-        symbols.write().commit_durable();
-        FlushStats { committed: Some(seq), clean }
-    }
-
-    /// Whether `shard`'s log has outgrown its segment and is idle (nothing
-    /// staged), i.e. it is time to snapshot + truncate it.
-    pub(crate) fn wants_rotation(&self, shard: usize) -> bool {
-        if self.shard_failed(shard) {
+    /// Commits the round: drains every dirty shard's staged records into
+    /// one frame, sweeps the symbol table, appends the symbol delta, and
+    /// writes the frame in one append (plus one fsync under
+    /// [`FsyncMode::EveryCommit`]).  A round with nothing staged and no
+    /// symbol change writes nothing.  Returns `false` once the log or any
+    /// shard has failed, this round or earlier.
+    ///
+    /// Called once per scrape round by the single flush driver —
+    /// crash-exactness ("recover precisely the acked rounds") is defined for
+    /// that single-flusher discipline — but appends racing a flush stay
+    /// safe: a record staged after its shard was drained lands in the next
+    /// frame, and the symbol delta is captured *after* the drain, so every
+    /// binding a drained record references is in the same frame or an
+    /// earlier one.  The sweep frees only bindings that cooled for two
+    /// commits, so the record that released one is already durable — the
+    /// race above delays a releasing record by at most one frame.
+    pub(crate) fn flush(&self, symbols: &RwLock<SymbolTable>) -> bool {
+        let mut guard = self.log.lock();
+        if self.log_failed() {
             return false;
         }
-        self.shards
-            .get(shard)
-            .map(|slot| {
-                let log = slot.lock();
-                log.staged.is_empty() && log.size > self.segment_bytes
-            })
-            .unwrap_or(false)
+        let log = &mut *guard;
+        let seq = log.committed + 1;
+        let frame = &mut log.frame;
+        frame.clear();
+        let at = begin_frame(frame);
+        frame.push(FRAME_ROUND);
+        put_u64(frame, seq);
+        let empty = frame.len();
+        for (shard, slot) in self.shards.iter().enumerate() {
+            let mut stage = slot.lock();
+            if stage.staged.is_empty() {
+                continue;
+            }
+            stage.close_samples();
+            reserve_staged(frame, SECTION_HEADER_BYTES + stage.staged.len());
+            put_section(frame, shard as u8, &stage.staged);
+            stage.staged.clear();
+        }
+        let swept = {
+            let mut table = symbols.write();
+            let bound = table.take_dirty_bindings();
+            let swept = table.sweep();
+            let freed = table.take_freed();
+            if !bound.is_empty() || !freed.is_empty() {
+                let len = bindings_len(&bound) + 4 + 4 * freed.len();
+                reserve_staged(frame, SECTION_HEADER_BYTES + len);
+                frame.push(SECTION_SYMBOLS);
+                put_u32(frame, len as u32);
+                put_bindings(frame, &bound);
+                put_u32(frame, freed.len() as u32);
+                for raw in &freed {
+                    put_u32(frame, *raw);
+                }
+            }
+            swept
+        };
+        if frame.len() == empty {
+            return self.failed.load(Ordering::Relaxed) == 0;
+        }
+        end_frame(frame, at);
+        if self.append_frame(log).is_err() {
+            self.mark_log_failed();
+            return false;
+        }
+        log.committed = seq;
+        // Age the symbol-GC cooling queue: zero-ref bindings become
+        // sweepable only after two of these boundaries.
+        symbols.write().commit_durable();
+        if swept > 0 {
+            probes::SYMBOLS_SWEPT.add(swept as u64);
+        }
+        self.failed.load(Ordering::Relaxed) == 0
     }
 
-    /// Installs `snapshot` (already encoded via [`encode_shard_snapshot`])
-    /// for `shard` and truncates its log.  Ordering makes every crash point
-    /// safe: the meta log is fsynced first (under [`FsyncMode::OnRotation`]
-    /// the symbols and commits the snapshot references may still sit in the
-    /// page cache — a snapshot durable without them would be orphaned by a
-    /// power crash), then the snapshot replaces atomically, and a log that
-    /// survives an interrupted truncation only holds rounds `<= base_seq`,
-    /// which replay skips.
-    pub(crate) fn install_shard_snapshot(&self, shard: usize, snapshot: &[u8]) -> io::Result<()> {
-        let (Some(snap_path), Some(wal_path)) =
-            (self.shard_snap_paths.get(shard), self.shard_paths.get(shard))
-        else {
-            return Ok(());
-        };
-        {
-            let mut meta = self.meta.lock();
-            if let Some(file) = meta.file.as_mut() {
-                let watch = Stopwatch::start();
-                file.sync()?;
-                probes::WAL_FSYNC_NS.record_ns(watch.elapsed_ns());
-            }
+    /// Appends the built frame to the log (opening it on first use) and
+    /// fsyncs under [`FsyncMode::EveryCommit`].
+    fn append_frame(&self, log: &mut RoundLog) -> io::Result<()> {
+        if log.file.is_none() {
+            let (file, len) = self.fs.open_append(&self.log_path)?;
+            log.file = Some(file);
+            log.size = len;
         }
-        self.fs.write_atomic(snap_path, snapshot)?;
-        let Some(slot) = self.shards.get(shard) else {
+        let Some(file) = log.file.as_mut() else {
             return Ok(());
         };
-        let mut log = slot.lock();
-        self.fs.truncate(wal_path, 0)?;
-        log.size = 0;
+        file.append(&log.frame)?;
+        if self.fsync == FsyncMode::EveryCommit {
+            let watch = Stopwatch::start();
+            file.sync()?;
+            probes::WAL_FSYNC_NS.record_ns(watch.elapsed_ns());
+        }
+        probes::WAL_BYTES_WRITTEN.add(log.frame.len() as u64);
+        log.size += log.frame.len() as u64;
         Ok(())
     }
 
-    /// Rotates the meta log once it outgrows the segment bound: sweeps the
-    /// symbol table (rotation is the only GC point, so segment snapshots
-    /// stay self-consistent), then writes a sparse symbol snapshot — every
-    /// live `(id, string)` binding plus the sweep epoch and `committed`
-    /// (the round the caller just committed) — and truncates `meta.wal`.
-    /// Errors are swallowed (rotation retries next round); only the
-    /// truncation failing after a successful snapshot replace fails the
-    /// meta log, because the stale tail would otherwise resurrect on
-    /// recovery.  A crash *between* the snapshot replace and the truncation
-    /// leaves deltas in `meta.wal` that overlap the snapshot; recovery
-    /// applies bindings last-wins in file order, so the overlap is
-    /// harmless.  Sweeping before a snapshot write that then fails is also
-    /// safe: the stale snapshot merely carries extra unreferenced bindings,
-    /// which the next recovery parks back in the cooling queue.
-    pub(crate) fn maybe_rotate_meta(&self, symbols: &RwLock<SymbolTable>, committed: u64) -> usize {
-        let mut meta = self.meta.lock();
-        if self.meta_failed() || !meta.staged.is_empty() || meta.size <= self.segment_bytes {
-            return 0;
+    /// Checkpoints the database once the log holds more than
+    /// `max(segment_bytes, size of the last checkpoint)` bytes.
+    /// `encode_shard(shard, out)` appends the shard's snapshot to `out` and
+    /// returns `true`, or returns `false` when the shard's staging buffer is
+    /// not empty — the checkpoint is then retried after the next commit.
+    ///
+    /// Order: fsync the log (under [`FsyncMode::OnRotation`] this is where
+    /// logged rounds become power-loss safe, even if the replace below
+    /// fails), replace the checkpoint atomically, truncate the log.  A
+    /// failed fsync fails the log like any other log I/O error.  A failed
+    /// replace or truncation is retried after the next commit: recovery
+    /// skips frames at or below the checkpoint's base, so frames left
+    /// behind only make the log longer.
+    pub(crate) fn maybe_checkpoint(
+        &self,
+        symbols: &RwLock<SymbolTable>,
+        mut encode_shard: impl FnMut(usize, &mut Vec<u8>) -> bool,
+    ) {
+        let mut guard = self.log.lock();
+        let log = &mut *guard;
+        if self.log_failed() || log.size <= self.segment_bytes.max(log.checkpoint_size) {
+            return;
         }
         let mut buf = Vec::new();
-        // The symbol write lock is held across the snapshot install so no
-        // binding can be interned between the capture below and the
-        // `clear_dirty` that declares every pending delta subsumed by it.
-        let mut table = symbols.write();
-        let swept = table.sweep();
-        let live = table.live_bindings();
-        let at = begin_record(&mut buf);
-        buf.push(REC_SNAP_SYMBOLS);
-        put_u64(&mut buf, table.epoch());
-        put_u64(&mut buf, committed);
-        put_u32(&mut buf, live.len() as u32);
-        for (raw, s) in &live {
-            put_u32(&mut buf, *raw);
-            put_u32(&mut buf, s.len() as u32);
-            buf.extend_from_slice(s.as_bytes());
+        {
+            let table = symbols.read();
+            let live = table.live_bindings();
+            let at = begin_frame(&mut buf);
+            buf.push(FRAME_CHECKPOINT);
+            put_u64(&mut buf, log.committed);
+            put_u64(&mut buf, table.epoch());
+            put_bindings(&mut buf, &live);
+            end_frame(&mut buf, at);
         }
-        end_record(&mut buf, at);
-        if self.fs.write_atomic(&self.meta_snap_path, &buf).is_err() {
-            return swept;
+        for shard in 0..SHARD_COUNT {
+            let at = begin_frame(&mut buf);
+            if self.shard_failed(shard) {
+                buf.push(FRAME_SHARD_FAILED);
+            } else {
+                buf.push(FRAME_SHARD);
+                if !encode_shard(shard, &mut buf) {
+                    return;
+                }
+            }
+            end_frame(&mut buf, at);
         }
-        if self.fs.truncate(&self.meta_path, 0).is_err() {
-            self.mark_meta_failed();
-            return swept;
+        if let Some(file) = log.file.as_mut() {
+            let watch = Stopwatch::start();
+            if file.sync().is_err() {
+                self.mark_log_failed();
+                return;
+            }
+            probes::WAL_FSYNC_NS.record_ns(watch.elapsed_ns());
         }
-        table.clear_dirty();
-        meta.size = 0;
-        meta.file = None;
-        swept
+        if self.fs.write_atomic(&self.checkpoint_path, &buf).is_err() {
+            return;
+        }
+        log.checkpoint_size = buf.len() as u64;
+        if self.fs.truncate(&self.log_path, 0).is_ok() {
+            log.size = 0;
+        }
     }
 }
 
-/// Staging handle for one shard's WAL buffer, held alongside the shard's
-/// data lock while a round's mutations are applied.
+/// Staging handle for one shard's buffer, held alongside the shard's data
+/// lock while a round's mutations are applied.
 pub(crate) struct ShardWriter<'a> {
-    wal: &'a Wal,
-    log: MutexGuard<'a, ShardLog>,
+    stage: MutexGuard<'a, ShardStage>,
 }
 
 impl ShardWriter<'_> {
-    /// Reserves room for `extra` staged bytes and lazily opens the round:
-    /// the first record of an empty buffer is the `ROUND(seq)` marker.
-    /// The load below cannot observe a round whose batch for this shard
-    /// was already drained: [`Wal::flush`] advances `next_seq` before it
-    /// takes any shard's WAL lock, so once the drain released the lock
-    /// this staging path is acquiring, the advanced value is visible.
-    fn ensure_round(&mut self, extra: usize) {
-        let seq = self.wal.next_seq.load(Ordering::Relaxed);
-        let buf = &mut self.log.staged;
-        reserve_staged(buf, extra + FRAME_BYTES + 9);
-        if buf.is_empty() {
-            let at = begin_record(buf);
-            buf.push(REC_ROUND);
-            put_u64(buf, seq);
-            end_record(buf, at);
-        }
+    /// Seals any open sample batch and reserves room for a `need`-byte
+    /// record.
+    fn begin(&mut self, need: usize) -> &mut Vec<u8> {
+        self.stage.close_samples();
+        reserve_staged(&mut self.stage.staged, need);
+        &mut self.stage.staged
     }
 
     /// Stages a series-creation record.
@@ -1132,11 +1115,7 @@ impl ShardWriter<'_> {
         name_sym: SymbolId,
         label_syms: &[(SymbolId, SymbolId)],
     ) {
-        let need = FRAME_BYTES + 17 + label_syms.len() * 8;
-        self.ensure_round(need);
-        self.log.close_samples();
-        let buf = &mut self.log.staged;
-        let at = begin_record(buf);
+        let buf = self.begin(17 + label_syms.len() * 8);
         buf.push(REC_SERIES);
         put_u64(buf, id);
         put_u32(buf, name_sym.as_u32());
@@ -1145,27 +1124,26 @@ impl ShardWriter<'_> {
             put_u32(buf, k.as_u32());
             put_u32(buf, v.as_u32());
         }
-        end_record(buf, at);
     }
 
     /// Stages one attempted append (accepted *or* rejected — replay re-runs
     /// the same ingest logic, so rejection is reproduced, not recorded).
     /// Consecutive samples at the same timestamp share one `REC_SAMPLES`
-    /// batch frame, sealed when another record type (or a different
-    /// timestamp) is staged or the round flushes — the per-sample cost is a
-    /// 12-byte copy, with the timestamp and frame CRC paid once per batch.
+    /// batch, sealed when another record type (or a different timestamp)
+    /// is staged or the round flushes — the per-sample cost is a 12-byte
+    /// copy, with the timestamp paid once per batch.
     pub(crate) fn sample(&mut self, local: u32, timestamp_ms: u64, value: f64) {
-        self.ensure_round(FRAME_BYTES + SAMPLE_HEADER_BYTES + SAMPLE_ENTRY_BYTES);
-        let log = &mut *self.log;
-        match log.open_samples {
+        let stage = &mut *self.stage;
+        reserve_staged(&mut stage.staged, SAMPLE_HEADER_BYTES + SAMPLE_ENTRY_BYTES);
+        match stage.open_samples {
             Some((_, ts)) if ts == timestamp_ms => {}
             _ => {
-                log.close_samples();
-                let at = begin_record(&mut log.staged);
-                log.staged.push(REC_SAMPLES);
-                put_u32(&mut log.staged, 0); // entry count, patched on close
-                put_u64(&mut log.staged, timestamp_ms);
-                log.open_samples = Some((at, timestamp_ms));
+                stage.close_samples();
+                let at = stage.staged.len();
+                stage.staged.push(REC_SAMPLES);
+                put_u32(&mut stage.staged, 0); // entry count, patched on close
+                put_u64(&mut stage.staged, timestamp_ms);
+                stage.open_samples = Some((at, timestamp_ms));
             }
         }
         let mut entry = [0u8; SAMPLE_ENTRY_BYTES];
@@ -1173,39 +1151,30 @@ impl ShardWriter<'_> {
         entry[..4].copy_from_slice(&local.to_le_bytes());
         // teemon-verify: allow(no-index): fixed-size split of a stack array.
         entry[4..].copy_from_slice(&value.to_bits().to_le_bytes());
-        log.staged.extend_from_slice(&entry);
+        stage.staged.extend_from_slice(&entry);
     }
 
     /// Stages a drop of the series at `victims` (pre-removal local indexes,
     /// ascending — the same order the live path removes them in).
     pub(crate) fn drop_locals(&mut self, victims: &[u32]) {
-        let need = FRAME_BYTES + 5 + victims.len() * 4;
-        self.ensure_round(need);
-        self.log.close_samples();
-        let buf = &mut self.log.staged;
-        let at = begin_record(buf);
+        let buf = self.begin(5 + victims.len() * 4);
         buf.push(REC_DROP);
         put_u32(buf, victims.len() as u32);
         for v in victims {
             put_u32(buf, *v);
         }
-        end_record(buf, at);
     }
 
     /// Stages a retention pass at `cutoff_ms`.
     pub(crate) fn retention(&mut self, cutoff_ms: u64) {
-        self.ensure_round(FRAME_BYTES + 9);
-        self.log.close_samples();
-        let buf = &mut self.log.staged;
-        let at = begin_record(buf);
+        let buf = self.begin(9);
         buf.push(REC_RETENTION);
         put_u64(buf, cutoff_ms);
-        end_record(buf, at);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots
+// Shard snapshots
 // ---------------------------------------------------------------------------
 
 /// Borrowed view of one series, assembled by the storage layer for
@@ -1219,7 +1188,7 @@ pub(crate) struct SnapSeriesRef<'a> {
     pub(crate) sealed: &'a [Arc<Chunk>],
 }
 
-/// Chunk payload kind tags inside snapshot records.
+/// Chunk payload kind tags inside snapshots.
 const CHUNK_RAW: u8 = 0;
 const CHUNK_GORILLA: u8 = 1;
 
@@ -1230,79 +1199,59 @@ fn put_samples(buf: &mut Vec<u8>, samples: &[Sample]) {
     }
 }
 
-/// Encodes a shard's full state as a snapshot file image: header, one record
-/// per series (heads Gorilla-compressed where the codec accepts them, sealed
-/// chunk payloads carried byte-identically), and a footer whose series count
-/// proves the file complete.
+/// Appends a shard's full state to `buf`: generation, rejection count and
+/// series count, then each series (head Gorilla-compressed where the codec
+/// accepts it, sealed chunk payloads carried byte-identically).  The
+/// checkpoint frames it, so it carries no checksum of its own.
 pub(crate) fn encode_shard_snapshot(
-    base_seq: u64,
+    buf: &mut Vec<u8>,
     generation: u64,
     rejected: u64,
     series: &[SnapSeriesRef<'_>],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let at = begin_record(&mut buf);
-    buf.push(REC_SNAP_HEADER);
-    put_u64(&mut buf, base_seq);
-    put_u64(&mut buf, generation);
-    put_u64(&mut buf, rejected);
-    put_u32(&mut buf, series.len() as u32);
-    end_record(&mut buf, at);
-
+) {
+    put_u64(buf, generation);
+    put_u64(buf, rejected);
+    put_u32(buf, series.len() as u32);
     for s in series {
-        let at = begin_record(&mut buf);
-        buf.push(REC_SNAP_SERIES);
-        put_u64(&mut buf, s.id);
-        put_u32(&mut buf, s.name_sym.as_u32());
+        put_u64(buf, s.id);
+        put_u32(buf, s.name_sym.as_u32());
         buf.push(u8::from(s.ever_appended));
-        put_u32(&mut buf, s.label_syms.len() as u32);
+        put_u32(buf, s.label_syms.len() as u32);
         for (k, v) in s.label_syms {
-            put_u32(&mut buf, k.as_u32());
-            put_u32(&mut buf, v.as_u32());
+            put_u32(buf, k.as_u32());
+            put_u32(buf, v.as_u32());
         }
         // Head: Gorilla when the codec accepts it, raw samples otherwise.
-        put_u32(&mut buf, s.head.len() as u32);
+        put_u32(buf, s.head.len() as u32);
         match chunk_codec::encode(s.head) {
             Some(block) if !s.head.is_empty() => {
                 buf.push(CHUNK_GORILLA);
-                put_u32(&mut buf, block.len() as u32);
+                put_u32(buf, block.len() as u32);
                 buf.extend_from_slice(&block);
             }
             _ => {
                 buf.push(CHUNK_RAW);
-                put_samples(&mut buf, s.head);
+                put_samples(buf, s.head);
             }
         }
         // Sealed chunks, payloads verbatim so reopen is byte-identical.
-        put_u32(&mut buf, s.sealed.len() as u32);
+        put_u32(buf, s.sealed.len() as u32);
         for chunk in s.sealed {
+            let (kind, len) = match &chunk.data {
+                ChunkData::Raw(samples) => (CHUNK_RAW, samples.len() * 16),
+                ChunkData::Compressed(bytes) => (CHUNK_GORILLA, bytes.len()),
+            };
+            buf.push(kind);
+            put_u32(buf, chunk.count);
+            put_u64(buf, chunk.start_ms);
+            put_u64(buf, chunk.end_ms);
+            put_u32(buf, len as u32);
             match &chunk.data {
-                ChunkData::Raw(samples) => {
-                    buf.push(CHUNK_RAW);
-                    put_u32(&mut buf, chunk.count);
-                    put_u64(&mut buf, chunk.start_ms);
-                    put_u64(&mut buf, chunk.end_ms);
-                    put_u32(&mut buf, (samples.len() * 16) as u32);
-                    put_samples(&mut buf, samples);
-                }
-                ChunkData::Compressed(bytes) => {
-                    buf.push(CHUNK_GORILLA);
-                    put_u32(&mut buf, chunk.count);
-                    put_u64(&mut buf, chunk.start_ms);
-                    put_u64(&mut buf, chunk.end_ms);
-                    put_u32(&mut buf, bytes.len() as u32);
-                    buf.extend_from_slice(bytes);
-                }
+                ChunkData::Raw(samples) => put_samples(buf, samples),
+                ChunkData::Compressed(bytes) => buf.extend_from_slice(bytes),
             }
         }
-        end_record(&mut buf, at);
     }
-
-    let at = begin_record(&mut buf);
-    buf.push(REC_SNAP_FOOTER);
-    put_u32(&mut buf, series.len() as u32);
-    end_record(&mut buf, at);
-    buf
 }
 
 /// One series restored from a shard snapshot.
@@ -1315,9 +1264,8 @@ pub(crate) struct SnapSeries {
     pub(crate) sealed: Vec<Chunk>,
 }
 
-/// A decoded shard snapshot: the state as of round `base_seq`.
+/// A decoded shard snapshot: the shard as of the checkpoint's base round.
 pub(crate) struct ShardSnapshot {
-    pub(crate) base_seq: u64,
     pub(crate) generation: u64,
     pub(crate) rejected: u64,
     pub(crate) series: Vec<SnapSeries>,
@@ -1336,31 +1284,28 @@ fn take_samples(cur: &mut Cur<'_>, count: u32) -> Option<Vec<Sample>> {
     Some(samples)
 }
 
-fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
-    let mut cur = Cur::new(payload);
-    let id = cur.u64()?;
-    let name_sym = SymbolId::from_u32(cur.u32()?);
-    let ever_appended = cur.u8()? != 0;
-    let label_count = cur.u32()?;
-    if label_count > MAX_COUNT {
-        return None;
-    }
-    let mut label_syms = Vec::with_capacity(label_count as usize);
-    for _ in 0..label_count {
+fn take_label_syms(cur: &mut Cur<'_>) -> Option<Vec<(SymbolId, SymbolId)>> {
+    let count = cur.count()?;
+    let mut label_syms = Vec::with_capacity(count as usize);
+    for _ in 0..count {
         let k = SymbolId::from_u32(cur.u32()?);
         let v = SymbolId::from_u32(cur.u32()?);
         label_syms.push((k, v));
     }
-    let head_count = cur.u32()?;
-    if head_count > MAX_COUNT {
-        return None;
-    }
+    Some(label_syms)
+}
+
+fn take_snap_series(cur: &mut Cur<'_>) -> Option<SnapSeries> {
+    let id = cur.u64()?;
+    let name_sym = SymbolId::from_u32(cur.u32()?);
+    let ever_appended = cur.u8()? != 0;
+    let label_syms = take_label_syms(cur)?;
+    let head_count = cur.count()?;
     let head = match cur.u8()? {
-        CHUNK_RAW => take_samples(&mut cur, head_count)?,
+        CHUNK_RAW => take_samples(cur, head_count)?,
         CHUNK_GORILLA => {
             let len = cur.u32()? as usize;
-            let block = cur.take(len)?;
-            let samples = chunk_codec::decode(block, head_count as usize);
+            let samples = chunk_codec::decode(cur.take(len)?, head_count as usize);
             if samples.len() != head_count as usize {
                 return None;
             }
@@ -1368,103 +1313,44 @@ fn decode_snap_series(payload: &[u8]) -> Option<SnapSeries> {
         }
         _ => return None,
     };
-    let sealed_count = cur.u32()?;
-    if sealed_count > MAX_COUNT {
-        return None;
-    }
+    let sealed_count = cur.count()?;
     let mut sealed = Vec::with_capacity(sealed_count as usize);
     for _ in 0..sealed_count {
         let kind = cur.u8()?;
-        let count = cur.u32()?;
-        if count > MAX_COUNT {
-            return None;
-        }
+        let count = cur.count()?;
         let start_ms = cur.u64()?;
         let end_ms = cur.u64()?;
         let len = cur.u32()? as usize;
         let data = match kind {
-            CHUNK_RAW => {
-                if len != count as usize * 16 {
-                    return None;
-                }
-                ChunkData::Raw(take_samples(&mut cur, count)?)
-            }
+            CHUNK_RAW if len == count as usize * 16 => ChunkData::Raw(take_samples(cur, count)?),
             CHUNK_GORILLA => ChunkData::Compressed(cur.take(len)?.to_vec()),
             _ => return None,
         };
         sealed.push(Chunk { start_ms, end_ms, count, data });
     }
-    cur.done().then_some(SnapSeries { id, name_sym, label_syms, ever_appended, head, sealed })
+    Some(SnapSeries { id, name_sym, label_syms, ever_appended, head, sealed })
 }
 
+/// Decodes a whole [`encode_shard_snapshot`] image; any truncation or
+/// trailing byte rejects it.
 fn decode_shard_snapshot(bytes: &[u8]) -> Option<ShardSnapshot> {
-    let mut scanner = FrameScanner::new(bytes);
-    let (kind, payload) = scanner.next()?;
-    if kind != REC_SNAP_HEADER {
-        return None;
-    }
-    let mut cur = Cur::new(payload);
-    let base_seq = cur.u64()?;
+    let mut cur = Cur::new(bytes);
     let generation = cur.u64()?;
     let rejected = cur.u64()?;
-    let series_count = cur.u32()?;
-    if !cur.done() || series_count > MAX_COUNT {
-        return None;
-    }
-    let mut series = Vec::with_capacity(series_count as usize);
-    for _ in 0..series_count {
-        let (kind, payload) = scanner.next()?;
-        if kind != REC_SNAP_SERIES {
-            return None;
-        }
-        series.push(decode_snap_series(payload)?);
-    }
-    let (kind, payload) = scanner.next()?;
-    if kind != REC_SNAP_FOOTER {
-        return None;
-    }
-    let mut cur = Cur::new(payload);
-    if cur.u32()? != series_count || !cur.done() || scanner.valid_len != bytes.len() {
-        return None;
-    }
-    Some(ShardSnapshot { base_seq, generation, rejected, series })
-}
-
-/// A decoded meta snapshot: the live `(raw id, string)` bindings, the commit
-/// seq the snapshot is based on, and the sweep epoch it captured.
-type MetaSnap = (Vec<(u32, String)>, u64, u64);
-
-fn decode_meta_snap(bytes: &[u8]) -> Option<MetaSnap> {
-    let mut scanner = FrameScanner::new(bytes);
-    let (kind, payload) = scanner.next()?;
-    if kind != REC_SNAP_SYMBOLS || scanner.valid_len != bytes.len() {
-        return None;
-    }
-    let mut cur = Cur::new(payload);
-    let epoch = cur.u64()?;
-    let committed = cur.u64()?;
-    let count = cur.u32()?;
-    if count > MAX_COUNT {
-        return None;
-    }
-    let mut bindings = Vec::with_capacity(count as usize);
+    let count = cur.count()?;
+    let mut series = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let raw = cur.u32()?;
-        let len = cur.u32()? as usize;
-        let s = std::str::from_utf8(cur.take(len)?).ok()?;
-        bindings.push((raw, s.to_owned()));
+        series.push(take_snap_series(&mut cur)?);
     }
-    cur.done().then_some((bindings, committed, epoch))
+    cur.done().then_some(ShardSnapshot { generation, rejected, series })
 }
 
 // ---------------------------------------------------------------------------
 // Recovery
 // ---------------------------------------------------------------------------
 
-/// One replayable shard-log operation, in file order.
+/// One replayable shard operation, in log order.
 pub(crate) enum ShardOp {
-    /// Start of round `seq`; following ops belong to it until the next round.
-    Round(u64),
     /// Series creation.
     Series { id: u64, name_sym: SymbolId, label_syms: Vec<(SymbolId, SymbolId)> },
     /// One attempted append (replay re-runs acceptance).
@@ -1475,18 +1361,9 @@ pub(crate) enum ShardOp {
     Retention { cutoff_ms: u64 },
 }
 
-/// What recovery found for one shard.
-pub(crate) enum ShardRecovery {
-    /// No durable state at all.
-    Empty,
-    /// The shard's snapshot was unreadable: it comes up empty and flagged,
-    /// leaving the other shards untouched.
-    Failed,
-    /// Snapshot (if any) + the log ops to replay over it.
-    Loaded(ShardLoad),
-}
-
-/// The replay input for one shard.
+/// The replay input for one shard: its checkpoint snapshot (if any) and
+/// the ops of every later round.
+#[derive(Default)]
 pub(crate) struct ShardLoad {
     pub(crate) snapshot: Option<ShardSnapshot>,
     pub(crate) ops: Vec<ShardOp>,
@@ -1494,338 +1371,262 @@ pub(crate) struct ShardLoad {
 
 /// Everything [`Wal::open`] recovered; the storage layer replays it.
 pub(crate) struct Recovery {
-    /// Symbol bindings in file order (snapshot first, then `meta.wal`
-    /// deltas).  A slot may appear more than once — an interrupted rotation
-    /// overlaps, and a swept-and-reused slot is legitimately rebound — and
-    /// the **last** binding for a slot wins, exactly as the live table ended.
+    /// The live symbol bindings as of the last recovered round, by slot.
     pub(crate) bindings: Vec<(u32, String)>,
-    /// Sweep epoch recorded by the last meta rotation.
+    /// Sweep epoch as of the last recovered round.
     pub(crate) epoch: u64,
-    /// Highest committed round; ops in rounds beyond it are dropped.
-    pub(crate) committed: u64,
-    /// Per-shard recovery input, `SHARD_COUNT` entries.
-    pub(crate) shards: Vec<ShardRecovery>,
+    /// Per-shard replay input, `SHARD_COUNT` entries; `None` for a shard
+    /// that failed recovery (it comes up empty and flagged).
+    pub(crate) shards: Vec<Option<ShardLoad>>,
 }
 
-/// Decodes one CRC-valid shard record into `ops` (a `REC_SAMPLES` batch
-/// expands to one [`ShardOp::Sample`] per entry).  Returns `false` — with
-/// `ops` rolled back — when the payload fails semantic validation.
-fn decode_shard_ops(kind: u8, payload: &[u8], ops: &mut Vec<ShardOp>) -> bool {
-    let before = ops.len();
+/// Decodes one shard section's records into `ops`.  Returns `false` when a
+/// record fails to decode.
+fn decode_shard_ops(body: &[u8], ops: &mut Vec<ShardOp>) -> bool {
+    let mut cur = Cur::new(body);
+    while !cur.done() {
+        if decode_record(&mut cur, ops).is_none() {
+            return false;
+        }
+    }
+    true
+}
+
+/// Decodes the record at the cursor; a `REC_SAMPLES` batch expands to one
+/// [`ShardOp::Sample`] per entry.
+fn decode_record(cur: &mut Cur<'_>, ops: &mut Vec<ShardOp>) -> Option<()> {
+    match cur.u8()? {
+        REC_SERIES => {
+            let id = cur.u64()?;
+            let name_sym = SymbolId::from_u32(cur.u32()?);
+            let label_syms = take_label_syms(cur)?;
+            ops.push(ShardOp::Series { id, name_sym, label_syms });
+        }
+        REC_SAMPLES => {
+            let count = cur.count()?;
+            let timestamp_ms = cur.u64()?;
+            ops.reserve(count as usize);
+            for _ in 0..count {
+                let local = cur.u32()?;
+                let value = f64::from_bits(cur.u64()?);
+                ops.push(ShardOp::Sample { local, timestamp_ms, value });
+            }
+        }
+        REC_DROP => {
+            let count = cur.count()?;
+            let mut victims = Vec::with_capacity(count as usize);
+            for _ in 0..count {
+                victims.push(cur.u32()?);
+            }
+            ops.push(ShardOp::Drop { victims });
+        }
+        REC_RETENTION => ops.push(ShardOp::Retention { cutoff_ms: cur.u64()? }),
+        _ => return None,
+    }
+    Some(())
+}
+
+/// A decoded round frame: its sequence number, the shard sections, and
+/// the symbol delta (bindings, then freed slots).
+struct RoundFrame<'a> {
+    seq: u64,
+    sections: Vec<(usize, &'a [u8])>,
+    bound: Vec<(u32, String)>,
+    freed: Vec<u32>,
+}
+
+/// Decodes a round frame's structure; `None` when it is malformed.  The
+/// shard sections' records are decoded separately, shard by shard.
+fn decode_round(payload: &[u8]) -> Option<RoundFrame<'_>> {
     let mut cur = Cur::new(payload);
-    let ok = (|| {
-        match kind {
-            REC_ROUND => ops.push(ShardOp::Round(cur.u64()?)),
-            REC_SERIES => {
-                let id = cur.u64()?;
-                let name_sym = SymbolId::from_u32(cur.u32()?);
-                let count = cur.u32()?;
-                if count > MAX_COUNT {
-                    return None;
-                }
-                let mut label_syms = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    let k = SymbolId::from_u32(cur.u32()?);
-                    let v = SymbolId::from_u32(cur.u32()?);
-                    label_syms.push((k, v));
-                }
-                ops.push(ShardOp::Series { id, name_sym, label_syms });
+    let mut frame =
+        RoundFrame { seq: cur.u64()?, sections: Vec::new(), bound: Vec::new(), freed: Vec::new() };
+    while !cur.done() {
+        let tag = cur.u8()?;
+        let len = cur.u32()? as usize;
+        let body = cur.take(len)?;
+        if usize::from(tag) < SHARD_COUNT {
+            frame.sections.push((usize::from(tag), body));
+        } else if tag == SECTION_SYMBOLS {
+            let mut sym = Cur::new(body);
+            frame.bound = take_bindings(&mut sym)?;
+            let freed = sym.count()?;
+            for _ in 0..freed {
+                frame.freed.push(sym.u32()?);
             }
-            REC_SAMPLES => {
-                let count = cur.u32()?;
-                if count > MAX_COUNT {
-                    return None;
-                }
-                let timestamp_ms = cur.u64()?;
-                ops.reserve(count as usize);
-                for _ in 0..count {
-                    ops.push(ShardOp::Sample {
-                        local: cur.u32()?,
-                        timestamp_ms,
-                        value: f64::from_bits(cur.u64()?),
-                    });
-                }
+            if !sym.done() {
+                return None;
             }
-            REC_DROP => {
-                let count = cur.u32()?;
-                if count > MAX_COUNT {
-                    return None;
-                }
-                let mut victims = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    victims.push(cur.u32()?);
-                }
-                ops.push(ShardOp::Drop { victims });
-            }
-            REC_RETENTION => ops.push(ShardOp::Retention { cutoff_ms: cur.u64()? }),
-            _ => return None,
+        } else {
+            return None;
         }
-        cur.done().then_some(())
-    })()
-    .is_some();
-    if !ok {
-        ops.truncate(before);
     }
-    ok
+    Some(frame)
 }
 
-/// Scans one shard log image into ops, stopping at the first invalid frame,
-/// the first CRC-valid record that fails semantic decoding, *or* the first
-/// `ROUND` marker whose sequence exceeds `committed` (all three are treated
-/// as the salvage point).
-///
-/// The round cutoff matters beyond tidiness: a torn flush leaves physically
-/// intact records from an uncommitted round at the tail of the file, and the
-/// next run's flush commits under the *same* sequence number (`next_seq`
-/// restarts at `committed + 1`).  If the stale tail survived, the new COMMIT
-/// would retroactively confirm records — drops included — that the crash
-/// already discarded, so the cutoff must be enforced here, where the caller
-/// truncates the file, not merely at replay.  Rounds within one file are
-/// strictly increasing, so everything past the first over-committed marker
-/// is equally uncommitted.
-fn scan_shard_log(bytes: &[u8], committed: u64) -> (Vec<ShardOp>, usize) {
-    let mut ops = Vec::new();
-    let mut scanner = FrameScanner::new(bytes);
-    let mut valid = 0;
-    while let Some((kind, payload)) = scanner.next() {
-        let before = ops.len();
-        if !decode_shard_ops(kind, payload, &mut ops) {
-            break;
-        }
-        if matches!(ops.get(before), Some(&ShardOp::Round(seq)) if seq > committed) {
-            ops.truncate(before);
-            break;
-        }
-        valid = scanner.valid_len;
-    }
-    (ops, valid)
+/// A decoded checkpoint: base round, sweep epoch, live bindings, and one
+/// entry per shard — `None` where the shard's frame did not verify or
+/// decode, or recorded a shard that had already failed.
+struct Checkpoint {
+    base: u64,
+    epoch: u64,
+    bindings: Vec<(u32, String)>,
+    shards: Vec<Option<ShardSnapshot>>,
 }
 
-/// Counts a salvage event: `dropped` bytes of `path` did not survive
-/// validation and are being cut off.
-fn note_salvage(path: &Path, dropped: u64) {
+/// Decodes a checkpoint image; `None` when its header (the symbol table
+/// every shard depends on) does not verify.  A damaged shard frame fails
+/// only that shard, as long as its length still locates the next one.
+fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
+    let (mut at, Some((FRAME_CHECKPOINT, header))) = frame_at(bytes, 0)? else {
+        return None;
+    };
+    let mut cur = Cur::new(header);
+    let base = cur.u64()?;
+    let epoch = cur.u64()?;
+    let bindings = take_bindings(&mut cur)?;
+    if !cur.done() {
+        return None;
+    }
+    let mut shards = Vec::with_capacity(SHARD_COUNT);
+    for _ in 0..SHARD_COUNT {
+        let frame = frame_at(bytes, at);
+        let start = at;
+        if let Some((end, _)) = frame {
+            at = end;
+        }
+        let marked_failed = matches!(frame, Some((_, Some((FRAME_SHARD_FAILED, _)))));
+        let snapshot = match frame {
+            Some((_, Some((FRAME_SHARD, payload)))) => decode_shard_snapshot(payload),
+            _ => None,
+        };
+        if snapshot.is_none() && !marked_failed {
+            note_salvage(at.saturating_sub(start) as u64);
+        }
+        shards.push(snapshot);
+    }
+    Some(Checkpoint { base, epoch, bindings, shards })
+}
+
+/// Counts a salvage event: `dropped` bytes did not survive validation.
+fn note_salvage(dropped: u64) {
     probes::WAL_SALVAGE.inc();
     probes::WAL_SALVAGED_BYTES.add(dropped);
-    let _ = path;
 }
 
 impl Wal {
     /// Opens (or creates) the durability directory and recovers its
-    /// contents.  Never panics on corrupt input: damaged log tails are
-    /// salvaged by truncation, an unreadable shard snapshot fails only that
-    /// shard, and an unreadable meta snapshot fails the whole log (symbols
-    /// are global) — in every case the database still opens.
+    /// contents: the checkpoint, then every verifying round frame above its
+    /// base.  Never panics on corrupt input: a damaged log tail is salvaged
+    /// by truncation, a shard whose checkpoint or round section does not
+    /// decode fails alone, and an unreadable checkpoint header fails the
+    /// whole log (symbols are global) — in every case the database still
+    /// opens.
     pub(crate) fn open(dir: &Path, options: &DurabilityOptions) -> io::Result<(Self, Recovery)> {
         let fs = Arc::clone(&options.fs);
         fs.create_dir_all(dir)?;
-        let meta_path = dir.join("meta.wal");
-        let meta_snap_path = dir.join("meta.snap");
-        let shard_paths: [PathBuf; SHARD_COUNT] =
-            std::array::from_fn(|i| dir.join(format!("shard-{i:02}.wal")));
-        let shard_snap_paths: [PathBuf; SHARD_COUNT] =
-            std::array::from_fn(|i| dir.join(format!("shard-{i:02}.snap")));
-
-        let mut bindings: Vec<(u32, String)> = Vec::new();
-        let mut epoch = 0u64;
-        let mut committed = 0u64;
-        let mut meta_ok = true;
-        let mut meta_size = 0u64;
-
-        if let Some(bytes) = fs.read(&meta_snap_path)? {
-            match decode_meta_snap(&bytes) {
-                Some((snap_bindings, base, snap_epoch)) => {
-                    bindings = snap_bindings;
-                    committed = base;
-                    epoch = snap_epoch;
-                }
-                None => {
-                    note_salvage(&meta_snap_path, bytes.len() as u64);
-                    meta_ok = false;
-                }
-            }
-        }
-        if meta_ok {
-            if let Some(bytes) = fs.read(&meta_path)? {
-                let mut scanner = FrameScanner::new(&bytes);
-                let mut valid = 0;
-                // Symbol deltas are written *before* the COMMIT of the flush
-                // that captured them, so a delta with no durable COMMIT after
-                // it belongs to a round the crash discarded — applying it
-                // would resurrect bindings the acked state never had.  Hold
-                // each batch until a COMMIT confirms it, and truncate the log
-                // at the last confirmed frame so a future run's COMMIT cannot
-                // retroactively confirm an orphaned delta.
-                //
-                // Deltas confirmed at or below the snapshot's base round are
-                // *discarded*, not applied: a crash between a rotation's
-                // snapshot install and its `meta.wal` truncation leaves the
-                // pre-rotation log intact, and those deltas may bind slots
-                // the rotation's sweep just freed — replaying them would
-                // resurrect swept bindings the snapshot (the more current
-                // capture of the same rounds) deliberately omits.
-                let snap_base = committed;
-                let mut pending: Vec<(u32, String)> = Vec::new();
-                while let Some((kind, payload)) = scanner.next() {
-                    let mut cur = Cur::new(payload);
-                    let decoded = match kind {
-                        REC_SYMBOLS => {
-                            let count = cur.u32().filter(|&c| c <= MAX_COUNT);
-                            // Buffer the batch so a record that fails half-way
-                            // leaves the pending list untouched.
-                            let mut batch = Vec::new();
-                            let ok = count
-                                .map(|count| {
-                                    for _ in 0..count {
-                                        let Some(id) = cur.u32() else { return false };
-                                        let Some(len) = cur.u32() else { return false };
-                                        let Some(raw) = cur.take(len as usize) else {
-                                            return false;
-                                        };
-                                        let Ok(s) = std::str::from_utf8(raw) else {
-                                            return false;
-                                        };
-                                        batch.push((id, s.to_owned()));
-                                    }
-                                    cur.done()
-                                })
-                                .unwrap_or(false);
-                            if ok {
-                                pending.append(&mut batch);
-                            }
-                            ok
-                        }
-                        REC_COMMIT => cur
-                            .u64()
-                            .map(|seq| {
-                                committed = committed.max(seq);
-                                if seq > snap_base {
-                                    bindings.append(&mut pending);
-                                } else {
-                                    pending.clear();
-                                }
-                                cur.done()
-                            })
-                            .unwrap_or(false),
-                        _ => false,
-                    };
-                    if !decoded {
-                        break;
-                    }
-                    if kind == REC_COMMIT {
-                        valid = scanner.valid_len;
-                    }
-                }
-                meta_size = valid as u64;
-                if valid < bytes.len() {
-                    note_salvage(&meta_path, (bytes.len() - valid) as u64);
-                    if fs.truncate(&meta_path, valid as u64).is_err() {
-                        meta_ok = false;
-                    }
-                }
-            }
-        }
-
-        let mut shards_rec = Vec::with_capacity(SHARD_COUNT);
-        let mut shard_sizes = [0u64; SHARD_COUNT];
-        for i in 0..SHARD_COUNT {
-            let (Some(wal_path), Some(snap_path), Some(size_slot)) =
-                (shard_paths.get(i), shard_snap_paths.get(i), shard_sizes.get_mut(i))
-            else {
-                shards_rec.push(ShardRecovery::Empty);
-                continue;
-            };
-            if !meta_ok {
-                // Without the symbol table nothing referencing it can be
-                // trusted; a shard with any durable state is flagged.
-                let has_data = fs.read(snap_path)?.map(|b| !b.is_empty()).unwrap_or(false)
-                    || fs.read(wal_path)?.map(|b| !b.is_empty()).unwrap_or(false);
-                shards_rec.push(if has_data {
-                    ShardRecovery::Failed
-                } else {
-                    ShardRecovery::Empty
-                });
-                continue;
-            }
-            let snapshot = match fs.read(snap_path)? {
-                Some(bytes) => match decode_shard_snapshot(&bytes) {
-                    Some(snap) => Some(snap),
-                    None => {
-                        note_salvage(snap_path, bytes.len() as u64);
-                        shards_rec.push(ShardRecovery::Failed);
-                        continue;
-                    }
-                },
-                None => None,
-            };
-            let (ops, valid, total) = match fs.read(wal_path)? {
-                Some(bytes) => {
-                    let (ops, valid) = scan_shard_log(&bytes, committed);
-                    (ops, valid, bytes.len())
-                }
-                None => (Vec::new(), 0, 0),
-            };
-            if valid < total {
-                note_salvage(wal_path, (total - valid) as u64);
-                if fs.truncate(wal_path, valid as u64).is_err() {
-                    shards_rec.push(ShardRecovery::Failed);
-                    continue;
-                }
-            }
-            *size_slot = valid as u64;
-            if snapshot.is_none() && ops.is_empty() {
-                shards_rec.push(ShardRecovery::Empty);
-            } else {
-                shards_rec.push(ShardRecovery::Loaded(ShardLoad { snapshot, ops }));
-            }
-        }
+        let log_path = dir.join("rounds.wal");
+        let checkpoint_path = dir.join("checkpoint.snap");
 
         let mut failed = 0u64;
-        if !meta_ok {
-            failed |= META_FAILED_BIT;
-            bindings = Vec::new();
-            epoch = 0;
-            committed = 0;
-        }
-        for (i, rec) in shards_rec.iter().enumerate() {
-            if matches!(rec, ShardRecovery::Failed) && i < SHARD_COUNT {
-                failed |= 1 << i;
+        let mut base = 0u64;
+        let mut epoch = 0u64;
+        let mut symbols: BTreeMap<u32, String> = BTreeMap::new();
+        let mut shards: Vec<Option<ShardLoad>> =
+            (0..SHARD_COUNT).map(|_| Some(ShardLoad::default())).collect();
+        let mut checkpoint_size = 0u64;
+        if let Some(bytes) = fs.read(&checkpoint_path)? {
+            checkpoint_size = bytes.len() as u64;
+            match decode_checkpoint(&bytes) {
+                Some(checkpoint) => {
+                    base = checkpoint.base;
+                    epoch = checkpoint.epoch;
+                    symbols.extend(checkpoint.bindings);
+                    for (slot, snapshot) in shards.iter_mut().zip(checkpoint.shards) {
+                        *slot = snapshot.map(|snapshot| ShardLoad {
+                            snapshot: Some(snapshot),
+                            ops: Vec::new(),
+                        });
+                    }
+                }
+                None => {
+                    note_salvage(bytes.len() as u64);
+                    failed = LOG_FAILED_BIT;
+                    shards.iter_mut().for_each(|slot| *slot = None);
+                }
             }
         }
 
-        // An interrupted meta rotation can leave `meta.wal` holding symbol
-        // deltas that overlap the snapshot just installed (the crash landed
-        // between the atomic snapshot replace and the truncation), so the
-        // recovered list may bind the same slot more than once — as may a
-        // legitimate sweep-and-reuse.  No dedup here: the storage layer
-        // installs the bindings in file order and the last binding for a
-        // slot wins, which is exactly the state the live table ended in.
+        let mut committed = base;
+        let mut size = 0u64;
+        if failed == 0 {
+            if let Some(bytes) = fs.read(&log_path)? {
+                let mut scanner = FrameScanner::new(&bytes);
+                let mut valid = 0;
+                while let Some((kind, payload)) = scanner.next() {
+                    let Some(frame) =
+                        (kind == FRAME_ROUND).then(|| decode_round(payload)).flatten()
+                    else {
+                        break;
+                    };
+                    valid = scanner.valid_len;
+                    if frame.seq <= base {
+                        // Already folded into the checkpoint: left behind
+                        // by a crash before the log's truncation.
+                        continue;
+                    }
+                    committed = committed.max(frame.seq);
+                    symbols.extend(frame.bound);
+                    for raw in &frame.freed {
+                        symbols.remove(raw);
+                    }
+                    if !frame.freed.is_empty() {
+                        epoch += 1;
+                    }
+                    for (shard, body) in frame.sections {
+                        let Some(slot) = shards.get_mut(shard) else { continue };
+                        let Some(load) = slot else { continue };
+                        if !decode_shard_ops(body, &mut load.ops) {
+                            probes::WAL_RECORDS_DROPPED.add(load.ops.len() as u64);
+                            note_salvage(body.len() as u64);
+                            *slot = None;
+                        }
+                    }
+                }
+                size = valid as u64;
+                if valid < bytes.len() {
+                    note_salvage((bytes.len() - valid) as u64);
+                    if fs.truncate(&log_path, size).is_err() {
+                        failed |= LOG_FAILED_BIT;
+                    }
+                }
+            }
+        }
+
+        for (shard, slot) in shards.iter().enumerate() {
+            if slot.is_none() {
+                failed |= 1 << shard;
+            }
+        }
         let wal = Wal {
             fs,
             fsync: options.fsync,
             segment_bytes: options.segment_bytes,
-            next_seq: AtomicU64::new(committed + 1),
             failed: AtomicU64::new(failed),
-            meta: Mutex::named(
-                MetaLog { file: None, staged: Vec::new(), size: meta_size },
-                LockClass::new("tsdb.wal.meta"),
+            log_path,
+            checkpoint_path,
+            log: Mutex::named(
+                RoundLog { file: None, frame: Vec::new(), size, checkpoint_size, committed },
+                LockClass::new("tsdb.wal"),
             ),
             shards: std::array::from_fn(|i| {
                 Mutex::named(
-                    ShardLog {
-                        file: None,
-                        staged: Vec::new(),
-                        size: shard_sizes.get(i).copied().unwrap_or(0),
-                        open_samples: None,
-                    },
+                    ShardStage::default(),
                     LockClass::new("tsdb.wal.shard").instance(i as u32),
                 )
             }),
-            meta_path,
-            meta_snap_path,
-            shard_paths,
-            shard_snap_paths,
         };
-        Ok((wal, Recovery { bindings, epoch, committed, shards: shards_rec }))
+        Ok((wal, Recovery { bindings: symbols.into_iter().collect(), epoch, shards }))
     }
 }
 
@@ -1842,30 +1643,30 @@ mod tests {
 
     fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
-        let at = begin_record(&mut buf);
+        let at = begin_frame(&mut buf);
         buf.push(kind);
         buf.extend_from_slice(body);
-        end_record(&mut buf, at);
+        end_frame(&mut buf, at);
         buf
     }
 
     #[test]
     fn frames_round_trip_through_the_scanner() {
-        let mut log = frame(REC_ROUND, &7u64.to_le_bytes());
-        log.extend_from_slice(&frame(REC_RETENTION, &42u64.to_le_bytes()));
+        let mut log = frame(FRAME_ROUND, &7u64.to_le_bytes());
+        log.extend_from_slice(&frame(FRAME_CHECKPOINT, &42u64.to_le_bytes()));
         let mut scanner = FrameScanner::new(&log);
         assert!(
-            matches!(scanner.next(), Some((REC_ROUND, payload)) if payload == 7u64.to_le_bytes())
+            matches!(scanner.next(), Some((FRAME_ROUND, payload)) if payload == 7u64.to_le_bytes())
         );
-        assert!(matches!(scanner.next(), Some((REC_RETENTION, _))));
+        assert!(matches!(scanner.next(), Some((FRAME_CHECKPOINT, _))));
         assert!(scanner.next().is_none());
         assert_eq!(scanner.valid_len, log.len());
     }
 
     #[test]
     fn scanner_salvages_at_torn_and_corrupt_frames() {
-        let first = frame(REC_ROUND, &1u64.to_le_bytes());
-        let second = frame(REC_ROUND, &2u64.to_le_bytes());
+        let first = frame(FRAME_ROUND, &1u64.to_le_bytes());
+        let second = frame(FRAME_ROUND, &2u64.to_le_bytes());
         // Torn tail: any strict prefix of the second frame is rejected and
         // the salvage point is the end of the first.
         for cut in 0..second.len() {
@@ -1984,9 +1785,9 @@ mod tests {
             head: &head,
             sealed: &[Arc::clone(&gorilla), Arc::clone(&raw)],
         }];
-        let bytes = encode_shard_snapshot(5, 2, 7, &series);
+        let mut bytes = Vec::new();
+        encode_shard_snapshot(&mut bytes, 2, 7, &series);
         let snap = decode_shard_snapshot(&bytes).expect("decode");
-        assert_eq!(snap.base_seq, 5);
         assert_eq!(snap.generation, 2);
         assert_eq!(snap.rejected, 7);
         assert_eq!(snap.series.len(), 1);
